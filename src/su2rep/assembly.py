@@ -22,7 +22,7 @@ which is re-verified by Groebner normal forms at small genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -122,9 +122,6 @@ class BettiTable:
         if not self.is_palindromic():
             raise ArithmeticError("table is not palindromic")
 
-    def poincare_polynomial(self) -> TruncatedSeries:
-        return TruncatedSeries([Fraction(c) for c in self.coefficients])
-
 
 IP_EXTRA_ORDER = 24
 
@@ -189,7 +186,10 @@ def b_coefficients(K: int) -> list[Fraction]:
         raise ValueError("K must be nonnegative")
     s = t_over_tanh_series(2 * K)
     for d in range(1, 2 * K + 1, 2):
-        assert s.coefficient(d) == 0
+        if s.coefficient(d) != 0:
+            raise ArithmeticError(
+                f"t/tanh t has nonzero odd coefficient {s.coefficient(d)} at degree {d}"
+            )
     return [s.coefficient(2 * k) for k in range(K + 1)]
 
 

@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .assembly import (
+    E_INDEPENDENCE_CAP,
+    IP_EXTRA_ORDER,
+    TOP_IDENTITY_CAP,
     b_coefficients,
     correction_series,
     e_basis,
@@ -33,24 +36,22 @@ from .assembly import (
     top_identity_check,
 )
 from .exterior import (
+    BRUTEFORCE_PRIM_CAP,
+    RESTRICTION_CAP,
     invariant_truncated_dimensions,
     prim_dimension_bruteforce,
     prim_dimension_formula,
     restriction_image_dimensions,
 )
-from .graded import Poly, monomial_str, render_poly
+from .graded import VARIABLE_NAMES, parse_poly, render_poly
 from .groebner import (
     hilbert_series_quotient,
     leading_term_ideal,
     relation_ideal_basis,
 )
-from .series import zpoly_str
+from .series import latex_rational, monomial_str, zpoly_str
 
 DEFAULT_GENUS_CAP = 4
-BRUTEFORCE_PRIM_CAP = 5
-RESTRICTION_CAP = 3
-TOP_IDENTITY_CAP = 4
-E_INDEPENDENCE_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -94,60 +95,6 @@ class VerificationReport:
 
 def _rational_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-# ---------------------------------------------------------------------------
-# latex helpers
-# ---------------------------------------------------------------------------
-
-_LATEX_NAMES = {"alpha": r"\alpha", "beta": r"\beta", "gamma": r"\gamma"}
-
-
-def _latex_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-
-
-def _latex_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for m, c in p.sorted_terms():
-        if m == (0, 0, 0):
-            body = _latex_coeff(abs(c))
-        else:
-            mono = ""
-            for name, e in zip(("alpha", "beta", "gamma"), m):
-                if e == 1:
-                    mono += _LATEX_NAMES[name]
-                elif e > 1:
-                    mono += _LATEX_NAMES[name] + f"^{{{e}}}"
-            mag = abs(c)
-            body = mono if mag == 1 else _latex_coeff(mag) + mono
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
-
-
-def _latex_intpoly(coeffs: Sequence[int], var: str = "t") -> str:
-    chunks = []
-    for d, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if d == 0:
-            body = str(abs(c))
-        else:
-            power = var if d == 1 else f"{var}^{{{d}}}"
-            body = power if abs(c) == 1 else f"{abs(c)}{power}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks) if chunks else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +146,7 @@ def cmd_ring(config: RunConfig) -> tuple[dict, int]:
             "k": k,
             "basis": [render_poly(g) for g in basis.generators],
             "leading_monomials": [
-                monomial_str(m) for m in basis.leading_monomials()
+                monomial_str(m, VARIABLE_NAMES) for m in basis.leading_monomials()
             ],
             "hilbert_numerator": list(num),
             "hilbert_denominator": list(den),
@@ -236,7 +183,7 @@ def cmd_pairing(config: RunConfig) -> tuple[dict, int]:
 
 def cmd_eq_series(config: RunConfig) -> tuple[dict, int]:
     g = config.genus
-    order = config.order if config.order is not None else 6 * g + 24
+    order = config.order if config.order is not None else 6 * g + IP_EXTRA_ORDER
     series = (
         equivariant_series_closed(g, order)
         if config.route == "closed"
@@ -313,7 +260,7 @@ def _check_intersection_routes(g: int) -> CheckRecord:
 
 
 def _check_equivariant_routes(g: int) -> CheckRecord:
-    N = 6 * g + 24
+    N = 6 * g + IP_EXTRA_ORDER
     closed = equivariant_series_closed(g, N)
     structural = equivariant_series_structural(g, N)
     for d in range(N + 1):
@@ -331,7 +278,7 @@ def _check_equivariant_routes(g: int) -> CheckRecord:
 
 
 def _check_polynomiality(g: int) -> CheckRecord:
-    N = 6 * g + 24
+    N = 6 * g + IP_EXTRA_ORDER
     diff = equivariant_series_closed(g, N) - correction_series(g, N)
     for d in range(6 * g - 5, N + 1):
         if diff.coefficient(d) != 0:
@@ -551,8 +498,8 @@ def render_text(doc: dict) -> str:
             k, l = e["right"]
             value = Fraction(int(e["value"]["num"]), int(e["value"]["den"]))
             lines.append(
-                f"  <kappa({monomial_str((i, j, 0))}), "
-                f"kappa({monomial_str((k, l, 0))})> = {value}"
+                f"  <kappa({monomial_str((i, j), VARIABLE_NAMES)}), "
+                f"kappa({monomial_str((k, l), VARIABLE_NAMES)})> = {value}"
             )
     elif cmd == "eq-series":
         lines.append(
@@ -562,12 +509,8 @@ def render_text(doc: dict) -> str:
         lines.append(f"P_t = {zpoly_str(data['coefficients'])} + ...")
     elif cmd == "e-basis":
         lines.append(f"E_{data['m']} spanning set ({data['size']} monomials)")
-        for i, j, k in data["monomials"]:
-            name = monomial_str((i, j, 0))
-            if k:
-                xi = "xi" if k == 1 else f"xi^{k}"
-                name = xi if name == "1" else f"{name}*{xi}"
-            lines.append(f"  {name}")
+        for e in data["monomials"]:
+            lines.append(f"  {monomial_str(e, ('alpha', 'beta', 'xi'))}")
         lines.append(f"degree generating polynomial: {zpoly_str(data['hilbert'])}")
     elif cmd == "verify":
         lines.append(
@@ -588,20 +531,18 @@ def render_latex(doc: dict) -> str:
     lines: list[str] = []
     if cmd == "betti":
         lines.append(
-            rf"$IP_t(X(SU(2))) = {_latex_intpoly(data['betti'])}$ "
+            rf"$IP_t(X(SU(2))) = {zpoly_str(data['betti'], latex=True)}$ "
             rf"\quad (g = {doc['genus']})"
         )
     elif cmd == "ring":
         lines.append(rf"Reduced Gr\"obner basis of $I_{{{data['k']}}}$:")
         lines.append(r"\begin{align*}")
-        rendered = [
-            _latex_poly(_parse_for_latex(g)) for g in data["basis"]
-        ]
+        rendered = [render_poly(parse_poly(g), latex=True) for g in data["basis"]]
         lines.append(" \\\\\n".join(f"& {r}" for r in rendered))
         lines.append(r"\end{align*}")
         lines.append(
-            rf"Hilbert series: $\frac{{{_latex_intpoly(data['hilbert_numerator'])}}}"
-            rf"{{{_latex_intpoly(data['hilbert_denominator'])}}}$"
+            rf"Hilbert series: $\frac{{{zpoly_str(data['hilbert_numerator'], latex=True)}}}"
+            rf"{{{zpoly_str(data['hilbert_denominator'], latex=True)}}}$"
         )
     elif cmd == "pairing":
         lines.append(r"\begin{tabular}{llr}")
@@ -614,24 +555,18 @@ def render_latex(doc: dict) -> str:
             lines.append(
                 rf"$\kappa(\alpha^{{{i}}}\beta^{{{j}}})$ & "
                 rf"$\kappa(\alpha^{{{k}}}\beta^{{{l}}})$ & "
-                rf"${_latex_coeff(value)}$ \\"
+                rf"${latex_rational(value)}$ \\"
             )
         lines.append(r"\end{tabular}")
     elif cmd == "eq-series":
         lines.append(
-            rf"$P_t^{{SU(2)}} = {_latex_intpoly(data['coefficients'])} + \cdots$"
+            rf"$P_t^{{SU(2)}} = {zpoly_str(data['coefficients'], latex=True)} + \cdots$"
         )
     elif cmd == "e-basis":
-        monos = []
-        for i, j, k in data["monomials"]:
-            term = ""
-            if i:
-                term += rf"\alpha^{{{i}}}" if i > 1 else r"\alpha"
-            if j:
-                term += rf"\beta^{{{j}}}" if j > 1 else r"\beta"
-            if k:
-                term += rf"\xi^{{{k}}}" if k > 1 else r"\xi"
-            monos.append(term or "1")
+        monos = [
+            monomial_str(e, (r"\alpha", r"\beta", r"\xi"), latex=True)
+            for e in data["monomials"]
+        ]
         lines.append(
             rf"$E_{{{data['m']}}} = \{{{', '.join(monos)}\}}$"
         )
@@ -644,12 +579,6 @@ def render_latex(doc: dict) -> str:
             lines.append(rf"{c['name']} & {c['status']} & {detail} \\")
         lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_for_latex(text: str) -> Poly:
-    from .graded import parse_poly
-
-    return parse_poly(text)
 
 
 RENDERERS = {"text": render_text, "json": render_json, "latex": render_latex}

@@ -1,22 +1,24 @@
 """Brute-force oracles in finite-dimensional anticommutative algebras.
 
-Two models, both over the rationals with exact arithmetic:
+One sparse class, `ExtElement`, models both algebras, over the rationals
+with exact arithmetic.  A term is keyed by (strictly increasing index tuple,
+u-exponent): anticommuting generators indexed by integers, times a power of
+an optional central even variable u.
 
-* `ExtElement`: the exterior algebra on anticommuting generators
-  psi_1 .. psi_{2g} (each of cohomological degree 3 in the intended use).
+* With no u (`truncation=None`, every exponent 0) it is the exterior algebra
+  on psi_1 .. psi_{2g} (each of cohomological degree 3 in the intended use).
   The distinguished class is gamma = -2 sum_{i=1..g} psi_i psi_{i+g}; the
   primitive part Prim_l is the kernel of multiplication by gamma^(g-l+1)
   on exterior degree l, and its dimension has the closed form
   C(2g, l) - C(2g, l-2).
 
-* `JacElement`: the algebra on anticommuting degree-1 generators
-  d_1 .. d_{2g} together with a central degree-2 variable u, truncated at
-  u-exponent U.  The restriction images of the ring generators are
-  w = -2 sum d_i d_{i+g}, 4 u^2, and -2 u d_i; intersecting the subalgebra
-  they generate with the ideal u^{g-1} is compared degree by degree with
-  the Z/2-invariant part (invariance: |subset| + u-exponent even).
-  Ranks are only trusted in degrees <= 2(U - g), where the u-truncation
-  cannot distort them.
+* With u truncated at exponent U (u^e = 0 for e > U) it is the Jacobian
+  model on degree-1 generators d_1 .. d_{2g} and a degree-2 u.  The
+  restriction images of the ring generators are w = -2 sum d_i d_{i+g},
+  4 u^2, and -2 u d_i; intersecting the subalgebra they generate with the
+  ideal u^{g-1} is compared degree by degree with the Z/2-invariant part
+  (invariance: |subset| + u-exponent even).  Ranks are only trusted in
+  degrees <= 2(U - g), where the u-truncation cannot distort them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from typing import Iterable, Mapping
 from .linalg import exact_rank
 
 Subset = tuple[int, ...]
+Key = tuple[Subset, int]
+
+BRUTEFORCE_PRIM_CAP = 5
+RESTRICTION_CAP = 3
 
 
 def _merge_sign(a: Subset, b: Subset) -> tuple[Subset, int]:
@@ -55,62 +61,69 @@ def _merge_sign(a: Subset, b: Subset) -> tuple[Subset, int]:
 
 
 class ExtElement:
-    """Element of the exterior algebra on integer-indexed odd generators."""
+    """Element of the algebra on odd generators and an optional central u.
 
-    __slots__ = ("terms", "generator_degree")
+    `truncation` is the largest u-exponent kept, or None when there is no u
+    (terms with a positive exponent are then dropped, as for truncation 0).
+    Elements with different truncations belong to different algebras and
+    cannot be combined.
+    """
 
-    def __init__(self, terms: Mapping[Subset, Fraction] | Iterable = (), generator_degree: int = 3):
+    __slots__ = ("terms", "truncation")
+
+    def __init__(
+        self, terms: Mapping[Key, Fraction] | Iterable = (), truncation: int | None = None
+    ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Subset, Fraction] = {}
-        for s, c in items:
+        top = 0 if truncation is None else truncation
+        clean: dict[Key, Fraction] = {}
+        for (s, e), c in items:
             c = Fraction(c)
-            if not c:
+            if not c or e > top:
                 continue
+            if e < 0:
+                raise ValueError("negative u-exponent")
             s = tuple(s)
             if list(s) != sorted(set(s)):
                 raise ValueError(f"index set {s} must be strictly increasing")
-            clean[s] = clean.get(s, Fraction(0)) + c
-            if not clean[s]:
-                del clean[s]
+            key = (s, e)
+            clean[key] = clean.get(key, Fraction(0)) + c
+            if not clean[key]:
+                del clean[key]
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "generator_degree", generator_degree)
+        object.__setattr__(self, "truncation", truncation)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtElement is immutable")
 
     @classmethod
-    def generator(cls, i: int, generator_degree: int = 3) -> ExtElement:
-        return cls({(i,): Fraction(1)}, generator_degree)
+    def generator(cls, i: int) -> ExtElement:
+        return cls({((i,), 0): Fraction(1)})
 
     @classmethod
-    def scalar(cls, c, generator_degree: int = 3) -> ExtElement:
-        return cls({(): Fraction(c)}, generator_degree)
+    def scalar(cls, c, truncation: int | None = None) -> ExtElement:
+        return cls({((), 0): Fraction(c)}, truncation)
+
+    def _check(self, other: ExtElement) -> None:
+        if self.truncation != other.truncation:
+            raise ValueError("mixing elements of different models")
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_parts(self) -> dict[int, ExtElement]:
-        by_deg: dict[int, dict[Subset, Fraction]] = {}
-        for s, c in self.terms.items():
-            by_deg.setdefault(len(s) * self.generator_degree, {})[s] = c
-        return {
-            d: ExtElement(ts, self.generator_degree) for d, ts in by_deg.items()
-        }
-
     def __add__(self, other: ExtElement) -> ExtElement:
+        self._check(other)
         out = dict(self.terms)
-        for s, c in other.terms.items():
-            v = out.get(s, Fraction(0)) + c
+        for k, c in other.terms.items():
+            v = out.get(k, Fraction(0)) + c
             if v:
-                out[s] = v
+                out[k] = v
             else:
-                out.pop(s, None)
-        return ExtElement(out, self.generator_degree)
+                out.pop(k, None)
+        return ExtElement(out, self.truncation)
 
     def __neg__(self) -> ExtElement:
-        return ExtElement(
-            {s: -c for s, c in self.terms.items()}, self.generator_degree
-        )
+        return (-1) * self
 
     def __sub__(self, other: ExtElement) -> ExtElement:
         return self + (-other)
@@ -119,28 +132,32 @@ class ExtElement:
         if isinstance(c, ExtElement):
             return NotImplemented
         c = Fraction(c)
-        return ExtElement(
-            {s: c * x for s, x in self.terms.items()}, self.generator_degree
-        )
+        return ExtElement({k: c * x for k, x in self.terms.items()}, self.truncation)
 
     def __mul__(self, other: ExtElement) -> ExtElement:
-        out: dict[Subset, Fraction] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
+        self._check(other)
+        top = 0 if self.truncation is None else self.truncation
+        out: dict[Key, Fraction] = {}
+        for (s1, e1), c1 in self.terms.items():
+            for (s2, e2), c2 in other.terms.items():
+                e = e1 + e2
+                if e > top:
+                    continue
                 merged, sign = _merge_sign(s1, s2)
                 if sign == 0:
                     continue
-                v = out.get(merged, Fraction(0)) + sign * c1 * c2
+                key = (merged, e)
+                v = out.get(key, Fraction(0)) + sign * c1 * c2
                 if v:
-                    out[merged] = v
+                    out[key] = v
                 else:
-                    del out[merged]
-        return ExtElement(out, self.generator_degree)
+                    del out[key]
+        return ExtElement(out, self.truncation)
 
     def __pow__(self, n: int) -> ExtElement:
         if n < 0:
             raise ValueError("negative power")
-        result = ExtElement.scalar(1, self.generator_degree)
+        result = ExtElement.scalar(1, self.truncation)
         for _ in range(n):
             result = result * self
         return result
@@ -148,22 +165,24 @@ class ExtElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtElement):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.truncation, self.terms) == (other.truncation, other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.truncation, frozenset(self.terms.items())))
+
+    def is_invariant(self) -> bool:
+        """Fixed by the involution on generators and u: x -> -x."""
+        return all((len(s) + e) % 2 == 0 for s, e in self.terms)
 
     def __repr__(self) -> str:
-        return f"ExtElement({self.terms!r})"
+        return f"ExtElement({self.terms!r}, truncation={self.truncation!r})"
 
 
 def gamma_element(g: int) -> ExtElement:
     """-2 sum_{i=1..g} psi_i psi_{i+g}, homogeneous of exterior degree 2."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    return ExtElement(
-        {(i, i + g): Fraction(-2) for i in range(1, g + 1)}
-    )
+    return ExtElement({((i, i + g), 0): Fraction(-2) for i in range(1, g + 1)})
 
 
 def prim_dimension_formula(g: int, l: int) -> int:
@@ -175,8 +194,8 @@ def prim_dimension_formula(g: int, l: int) -> int:
 
 def prim_dimension_bruteforce(g: int, l: int) -> int:
     """dim ker(gamma^(g-l+1)) on exterior degree l, by exact elimination."""
-    if not 2 <= g <= 5:
-        raise ValueError("brute force restricted to 2 <= g <= 5")
+    if not 2 <= g <= BRUTEFORCE_PRIM_CAP:
+        raise ValueError(f"brute force restricted to 2 <= g <= {BRUTEFORCE_PRIM_CAP}")
     if not 0 <= l <= g:
         raise ValueError("need 0 <= l <= g")
     n = 2 * g
@@ -189,9 +208,9 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
     }
     rows = []
     for s in domain:
-        image = ExtElement({s: Fraction(1)}) * gamma_pow
+        image = ExtElement({(s, 0): Fraction(1)}) * gamma_pow
         row = [Fraction(0)] * len(codomain)
-        for t, c in image.terms.items():
+        for (t, _), c in image.terms.items():
             row[codomain[t]] = c
         rows.append(row)
     return len(domain) - exact_rank(rows)
@@ -201,122 +220,14 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
 # truncated Jacobian model
 # ---------------------------------------------------------------------------
 
-class JacElement:
-    """Element of the algebra on odd d_1..d_{2g} and central u, u^e = 0 for e > U."""
+def _jac_generators(g: int, U: int) -> tuple[ExtElement, ExtElement, list[ExtElement]]:
+    """Images of alpha, beta, psi_i: w = -2 sum d_i d_{i+g}, 4u^2, -2u d_i.
 
-    __slots__ = ("g", "truncation", "terms")
-
-    def __init__(self, g: int, truncation: int, terms: Mapping | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[Subset, int], Fraction] = {}
-        for (s, e), c in items:
-            c = Fraction(c)
-            if not c or e > truncation:
-                continue
-            if e < 0:
-                raise ValueError("negative u-exponent")
-            s = tuple(s)
-            if list(s) != sorted(set(s)) or (s and (s[0] < 1 or s[-1] > 2 * g)):
-                raise ValueError(f"bad index set {s}")
-            key = (s, e)
-            clean[key] = clean.get(key, Fraction(0)) + c
-            if not clean[key]:
-                del clean[key]
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JacElement is immutable")
-
-    def _check(self, other: JacElement) -> None:
-        if (self.g, self.truncation) != (other.g, other.truncation):
-            raise ValueError("mixing elements of different models")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: JacElement) -> JacElement:
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return JacElement(self.g, self.truncation, out)
-
-    def __rmul__(self, c) -> JacElement:
-        if isinstance(c, JacElement):
-            return NotImplemented
-        c = Fraction(c)
-        return JacElement(
-            self.g, self.truncation, {k: c * x for k, x in self.terms.items()}
-        )
-
-    def __neg__(self) -> JacElement:
-        return (-1) * self
-
-    def __sub__(self, other: JacElement) -> JacElement:
-        return self + (-other)
-
-    def __mul__(self, other: JacElement) -> JacElement:
-        self._check(other)
-        out: dict[tuple[Subset, int], Fraction] = {}
-        for (s1, e1), c1 in self.terms.items():
-            for (s2, e2), c2 in other.terms.items():
-                e = e1 + e2
-                if e > self.truncation:
-                    continue
-                merged, sign = _merge_sign(s1, s2)
-                if sign == 0:
-                    continue
-                key = (merged, e)
-                v = out.get(key, Fraction(0)) + sign * c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return JacElement(self.g, self.truncation, out)
-
-    def __pow__(self, n: int) -> JacElement:
-        if n < 0:
-            raise ValueError("negative power")
-        result = JacElement(self.g, self.truncation, {((), 0): Fraction(1)})
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JacElement):
-            return NotImplemented
-        return (self.g, self.truncation, self.terms) == (
-            other.g,
-            other.truncation,
-            other.terms,
-        )
-
-    def __hash__(self):
-        return hash((self.g, self.truncation, frozenset(self.terms.items())))
-
-    def is_invariant(self) -> bool:
-        """Fixed by the involution d_i -> -d_i, u -> -u."""
-        return all((len(s) + e) % 2 == 0 for s, e in self.terms)
-
-    def __repr__(self) -> str:
-        return f"JacElement(g={self.g}, U={self.truncation}, {self.terms!r})"
-
-
-def _jac_generators(g: int, U: int) -> tuple[JacElement, JacElement, list[JacElement]]:
-    """Images of alpha, beta, psi_i: w = -2 sum d_i d_{i+g}, 4u^2, -2u d_i."""
-    w = JacElement(
-        g, U, {((i, i + g), 0): Fraction(-2) for i in range(1, g + 1)}
-    )
-    four_u2 = JacElement(g, U, {((), 2): Fraction(4)})
-    psis = [
-        JacElement(g, U, {((i,), 1): Fraction(-2)}) for i in range(1, 2 * g + 1)
-    ]
+    Every index lies in 1..2g, the generators of the genus-g model.
+    """
+    w = ExtElement({((i, i + g), 0): Fraction(-2) for i in range(1, g + 1)}, U)
+    four_u2 = ExtElement({((), 2): Fraction(4)}, U)
+    psis = [ExtElement({((i,), 1): Fraction(-2)}, U) for i in range(1, 2 * g + 1)]
     return w, four_u2, psis
 
 
@@ -326,8 +237,8 @@ def reliable_degree_window(g: int, U: int) -> int:
 
 
 def _validate_model_range(g: int, U: int) -> int:
-    if not 2 <= g <= 3:
-        raise ValueError("Jacobian model restricted to 2 <= g <= 3")
+    if not 2 <= g <= RESTRICTION_CAP:
+        raise ValueError(f"Jacobian model restricted to 2 <= g <= {RESTRICTION_CAP}")
     if U < g + 3:
         raise ValueError("u-truncation too small to give a useful window")
     return U

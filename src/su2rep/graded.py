@@ -18,10 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+from .series import monomial_str, signed_sum
+
 Monomial = tuple[int, int, int]
 
 WEIGHTS = (2, 4, 6)
 VARIABLE_NAMES = ("alpha", "beta", "gamma")
+LATEX_NAMES = (r"\alpha", r"\beta", r"\gamma")
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -48,18 +51,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 def monomial_quotient(b: Monomial, a: Monomial) -> Monomial:
     """b / a, assuming a divides b."""
     return (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-
-
-def monomial_str(m: Monomial) -> str:
-    if m == (0, 0, 0):
-        return "1"
-    parts = []
-    for name, e in zip(VARIABLE_NAMES, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
 
 
 class Poly:
@@ -204,41 +195,17 @@ ZERO = Poly()
 ONE = Poly.constant(1)
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_scale(c: Fraction | int, a: Poly) -> Poly:
-    return c * a
-
-
-def render_poly(p: Poly) -> str:
+def render_poly(p: Poly, latex: bool = False) -> str:
     """Canonical text form, terms in descending monomial order.
 
     Examples: "alpha^3 + 2*alpha*beta + 4*gamma", "1/2*alpha^2", "-beta + 1", "0".
-    `parse_poly` inverts this exactly.
+    `parse_poly` inverts the text form exactly; `latex=True` writes the same
+    terms as "\\alpha^{3} + 2\\alpha\\beta + 4\\gamma".
     """
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for m, c in p.sorted_terms():
-        mono = monomial_str(m)
-        mag = abs(c)
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    names = LATEX_NAMES if latex else VARIABLE_NAMES
+    return signed_sum(
+        ((c, monomial_str(m, names, latex)) for m, c in p.sorted_terms()), latex
+    )
 
 
 _TERM_FACTOR = re.compile(
@@ -294,7 +261,8 @@ def mumford_c(n: int) -> Poly:
         + Fraction(2) * (GAMMA * mumford_c(n - 3))
     )
     p = Fraction(1, n) * p
-    assert p.is_homogeneous() and p.degree() == 2 * n
+    if not (p.is_homogeneous() and p.degree() == 2 * n):
+        raise ArithmeticError(f"c_{n} is not homogeneous of degree {2 * n}")
     return p
 
 

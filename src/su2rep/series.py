@@ -5,7 +5,9 @@ All coefficients are `fractions.Fraction`; nothing here ever rounds.  A
 operations truncate to the smaller of the two orders.  A
 ``RationalFunction`` is a quotient of integer-coefficient polynomials in t
 whose denominator has nonzero constant term, so its expansion at t = 0 is
-well defined and computed by exact long division.
+well defined and computed by exact long division.  The text and LaTeX
+renderers for signed sums of monomials live here too, since every other
+module writes polynomials through them.
 
 Values are immutable after construction; every operation returns a fresh
 object, so they are safe to share between concurrent callers.
@@ -77,25 +79,64 @@ def zpoly_shift(a: Sequence[int], k: int) -> tuple[int, ...]:
     return zpoly_trim([0] * k + list(a))
 
 
-def zpoly_str(a: Sequence[int], var: str = "t") -> str:
-    """Canonical human-readable form, ascending powers."""
-    a = zpoly_trim(a)
-    if a == (0,):
-        return "0"
+# ---------------------------------------------------------------------------
+# rendering: every polynomial in the package is written by these helpers
+# ---------------------------------------------------------------------------
+
+def latex_rational(c) -> str:
+    """An integer as itself, any other rational as a signed \\frac."""
+    if c.denominator == 1:
+        return str(c.numerator)
+    sign = "-" if c < 0 else ""
+    return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+
+
+def monomial_str(exponents: Sequence[int], names: Sequence[str], latex: bool = False) -> str:
+    """Product of the named variables raised to the exponents; "1" when empty.
+
+    Text: "alpha^2*beta".  LaTeX: names joined bare, exponents above 1 braced.
+    """
+    factors = []
+    for name, e in zip(names, exponents):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{{{e}}}" if latex else f"{name}^{e}")
+    return ("" if latex else "*").join(factors) or "1"
+
+
+def signed_sum(terms: Iterable[tuple], latex: bool = False) -> str:
+    """Join (coefficient, monomial) pairs as "a + b - c"; "0" when all vanish.
+
+    The monomial "1" marks a constant term.  The first term carries a bare
+    minus sign, later ones "+ " or "- ".  A coefficient of magnitude one is
+    left off a nonconstant monomial; any other is written before it, with
+    "*" in text and nothing in LaTeX.
+    """
+    coeff = latex_rational if latex else str
     parts: list[str] = []
-    for d, c in enumerate(a):
+    for c, mono in terms:
         if c == 0:
             continue
-        if d == 0:
-            body = str(abs(c))
+        mag = abs(c)
+        if mono == "1":
+            body = coeff(mag)
+        elif mag == 1:
+            body = mono
         else:
-            power = var if d == 1 else f"{var}^{d}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
+            body = f"{coeff(mag)}{'' if latex else '*'}{mono}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
+
+
+def zpoly_str(a: Sequence[int], var: str = "t", latex: bool = False) -> str:
+    """Canonical human-readable form, ascending powers."""
+    return signed_sum(
+        [(c, monomial_str((d,), (var,), latex)) for d, c in enumerate(a)], latex
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +233,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
     def __str__(self) -> str:
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                body = str(abs(c))
-            else:
-                power = "t" if d == 1 else f"t^{d}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        head = " ".join(parts) if parts else "0"
-        return f"{head} + O(t^{self.order + 1})"
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the smaller order."""
-    return a * b
+        return f"{zpoly_str(self.coeffs)} + O(t^{self.order + 1})"
 
 
 def series_linear_combination(
@@ -345,10 +367,6 @@ class RationalFunction:
         if self.den == (1,):
             return zpoly_str(self.num)
         return f"({zpoly_str(self.num)})/({zpoly_str(self.den)})"
-
-
-def series_expand(f: RationalFunction, order: int) -> TruncatedSeries:
-    return f.expand(order)
 
 
 # -- helpers for exact univariate gcd over the rationals --------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2rep import assembly
 from su2rep.assembly import (
     BettiTable,
     EMonomial,
@@ -26,6 +27,7 @@ from su2rep.assembly import (
 )
 from su2rep.exterior import invariant_truncated_dimensions
 from su2rep.graded import ALPHA, BETA, GAMMA
+from su2rep.series import TruncatedSeries
 
 
 # -- closed-form series -------------------------------------------------------
@@ -92,6 +94,18 @@ def test_betti_table_shape_enforced():
 def test_b_coefficient_values():
     b = b_coefficients(3)
     assert b == [1, Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945)]
+
+
+def test_b_coefficients_rejects_nonzero_odd_coefficient(monkeypatch):
+    # the check must raise, not assert: it has to survive python -O
+    def corrupted(order):
+        coeffs = list(t_over_tanh_series(order).coeffs)
+        coeffs[3] += 1
+        return TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(assembly, "t_over_tanh_series", corrupted)
+    with pytest.raises(ArithmeticError):
+        b_coefficients(3)
 
 
 def test_tanh_oracle_initial_terms():

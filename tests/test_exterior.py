@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from su2rep.exterior import (
     ExtElement,
-    JacElement,
     gamma_element,
     invariant_truncated_dimensions,
     prim_dimension_bruteforce,
@@ -80,14 +79,14 @@ def test_generators_anticommute_and_square_to_zero():
     a, b = psi(1), psi(2)
     assert a * b == -(b * a)
     assert (a * a).is_zero()
-    assert (a * b).terms == {(1, 2): Fraction(1)}
-    assert (b * a).terms == {(1, 2): Fraction(-1)}
+    assert (a * b).terms == {((1, 2), 0): Fraction(1)}
+    assert (b * a).terms == {((1, 2), 0): Fraction(-1)}
 
 
 def test_merge_sign_matches_transposition_count():
     # psi_2 psi_4 psi_1 psi_3 needs three adjacent swaps to sort
     p = psi(2) * psi(4) * psi(1) * psi(3)
-    assert p.terms == {(1, 2, 3, 4): Fraction(-1)}
+    assert p.terms == {((1, 2, 3, 4), 0): Fraction(-1)}
 
 
 @given(
@@ -106,9 +105,9 @@ def test_product_of_generator_strings_associates(idx1, idx2):
 
 def test_gamma_element_values():
     g2 = gamma_element(2)
-    assert g2.terms == {(1, 3): Fraction(-2), (2, 4): Fraction(-2)}
+    assert g2.terms == {((1, 3), 0): Fraction(-2), ((2, 4), 0): Fraction(-2)}
     # expanding the square picks up one transposition per cross term
-    assert (g2 ** 2).terms == {(1, 2, 3, 4): Fraction(-8)}
+    assert (g2 ** 2).terms == {((1, 2, 3, 4), 0): Fraction(-8)}
     assert (g2 ** 3).is_zero()
     assert (gamma_element(3) ** 4).is_zero()
     with pytest.raises(ValueError):
@@ -147,25 +146,37 @@ def test_lefschetz_dimension_identity(g):
 # -- truncated Jacobian model ---------------------------------------------------
 
 def test_jac_u_is_central_and_truncation_drops_overflow():
-    u = JacElement(2, 3, {((), 1): Fraction(1)})
-    d1 = JacElement(2, 3, {((1,), 0): Fraction(1)})
+    u = ExtElement({((), 1): Fraction(1)}, truncation=3)
+    d1 = ExtElement({((1,), 0): Fraction(1)}, truncation=3)
     assert u * d1 == d1 * u
     assert (u ** 4).is_zero()
     assert not (u ** 3).is_zero()
 
 
 def test_jac_invariance_parity():
-    inv = JacElement(2, 5, {((1, 2), 0): 1, ((1,), 1): 2, ((), 4): 3})
+    inv = ExtElement({((1, 2), 0): 1, ((1,), 1): 2, ((), 4): 3}, truncation=5)
     assert inv.is_invariant()
-    assert not JacElement(2, 5, {((1,), 0): 1}).is_invariant()
-    assert not JacElement(2, 5, {((), 1): 1}).is_invariant()
+    assert not ExtElement({((1,), 0): 1}, truncation=5).is_invariant()
+    assert not ExtElement({((), 1): 1}, truncation=5).is_invariant()
 
 
 def test_jac_model_mixing_rejected():
-    a = JacElement(2, 3, {((), 0): 1})
-    b = JacElement(2, 4, {((), 0): 1})
+    a = ExtElement({((), 0): 1}, truncation=3)
+    b = ExtElement({((), 0): 1}, truncation=4)
     with pytest.raises(ValueError):
         a * b
+
+
+def test_ext_element_rejects_malformed_terms():
+    with pytest.raises(ValueError):
+        ExtElement({((2, 1), 0): 1})
+    with pytest.raises(ValueError):
+        ExtElement({((1, 1), 0): 1})
+    with pytest.raises(ValueError):
+        ExtElement({((1,), -1): 1}, truncation=3)
+    # the u-free exterior algebra and a u-truncated model do not mix
+    with pytest.raises(ValueError):
+        ExtElement.generator(1) * ExtElement({((1,), 0): 1}, truncation=3)
 
 
 def test_restriction_dimensions_g2():

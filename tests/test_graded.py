@@ -18,9 +18,6 @@ from su2rep.graded import (
     monomial_quotient,
     mumford_c,
     parse_poly,
-    poly_add,
-    poly_mul,
-    poly_scale,
     render_poly,
     xi,
 )
@@ -187,12 +184,3 @@ def test_abxi_expansion_term_count(i, j, k):
     # binomial expansion of (alpha*beta + 2*gamma)^k against a monomial prefix:
     # every cross term lands on a distinct monomial, so exactly k+1 survive
     assert len(expand_abxi_monomial(i, j, k).terms) == k + 1
-
-
-def test_poly_function_aliases():
-    a = ALPHA + 2 * BETA
-    b = GAMMA - ALPHA
-    assert poly_add(a, b) == a + b
-    assert poly_mul(a, b) == a * b
-    assert poly_scale(Fraction(1, 3), a) == Fraction(1, 3) * a
-    assert poly_scale(-2, b) == -2 * b
