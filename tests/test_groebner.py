@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,28 @@ def test_cache_reproduces_uncached_result(tmp_path, monkeypatch):
     assert cache_file.read_text() == render_basis(uncached)
     second = relation_ideal_basis(2)  # reads it back
     assert first == uncached == second
+
+
+# sha256 of render_basis(buchberger(ideal_generators(k), source_k=k)), taken
+# from the Buchberger loop that selected pairs by a linear `min` and applied
+# no chain criterion.  The reduced monic basis is unique, so any correct
+# pair strategy must reproduce these bytes.
+BASIS_DIGESTS = {
+    0: "0a9491dae978ee6b404157970b0d91e8425865529f394b31051fabd4fd61abad",
+    1: "f1a4d84eb4eee98b1c410d4a144b65f48f90597a0c2c8162d657ce987f725aae",
+    2: "db10bb0298865edbce319483d12cfd611b75c58db371af3b9da93ad72538d00c",
+    3: "33b19e6b9420e1963bd2a44d83697112b678127eaa009a8544f77eea90e82c27",
+    4: "052429458af43778ec850424e682406b19c7236f5fba059107003a1aef97729b",
+    5: "401804a1dc8748c09f375676b447445e5a7ec212dbd19e8dd387358b7527e9de",
+    6: "f85c9752c33c093c99aa841d5a6ef9e0642d6c055ca0d7e4746567f0964fc841",
+    7: "24319111587d34b1c9dad3431a9bf2c3857e6356ee9b9ce6fef3ca2b53befc8b",
+    8: "2f9b012810f2bcc60239d8d45ec7223071b21e738632ecac982515212bcf15d6",
+    9: "c83024de8bd4f298d0b865ef82ff70d7505d0626e7a9cee072dff69061cd301a",
+    10: "61cebfcd2c5f12040bbdcd70a88bed1b4d168a2adcb99f0c7fc97d50a2e768ca",
+}
+
+
+@pytest.mark.parametrize("k", sorted(BASIS_DIGESTS))
+def test_relation_basis_matches_golden_digest(k):
+    text = render_basis(buchberger(ideal_generators(k), source_k=k))
+    assert hashlib.sha256(text.encode()).hexdigest() == BASIS_DIGESTS[k]
