@@ -436,13 +436,18 @@ def pairing_value(g: int, left: tuple[int, int], right: tuple[int, int]) -> Frac
             f"(m, n) = ({m}, {n}) is outside the stated range "
             f"m + 2n = {3 * g - 3}, n < {g - 1}"
         )
-    b = b_coefficients(g - n - 1)
+    return _pairing_from_b(g, m, n, b_coefficients(g - n - 1))
+
+
+def _pairing_from_b(g: int, m: int, n: int, b: list[Fraction]) -> Fraction:
+    """-(-4)^{g-1} m! b_{g-n-1}, reading b_{g-n-1} from the list b."""
     return -((-4) ** (g - 1)) * factorial(m) * b[g - n - 1]
 
 
 def pairing_matrix(g: int) -> list[PairingEntry]:
     """All admissible kappa-class pairings, ordered by (n, m, i, j)."""
     _require_genus(g)
+    b = b_coefficients(g - 1)
     entries = []
     for n in range(g - 1):
         m = 3 * g - 3 - 2 * n
@@ -456,7 +461,7 @@ def pairing_matrix(g: int) -> list[PairingEntry]:
                         right=right,
                         m=m,
                         n=n,
-                        value=pairing_value(g, left, right),
+                        value=_pairing_from_b(g, m, n, b),
                     )
                 )
     return entries

@@ -21,6 +21,7 @@ from .assembly import (
     E_INDEPENDENCE_CAP,
     IP_EXTRA_ORDER,
     TOP_IDENTITY_CAP,
+    BettiTable,
     b_coefficients,
     correction_series,
     e_basis,
@@ -240,8 +241,7 @@ def cmd_e_basis(config: RunConfig) -> tuple[dict, int]:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_intersection_routes(g: int) -> CheckRecord:
-    closed = ip_series_closed(g)
+def _check_intersection_routes(g: int, closed: BettiTable) -> CheckRecord:
     structural = ih_series_structural(g)
     for d, (a, b) in enumerate(zip(closed.coefficients, structural.coefficients)):
         if a != b:
@@ -293,10 +293,9 @@ def _check_polynomiality(g: int) -> CheckRecord:
     )
 
 
-def _check_duality(g: int) -> CheckRecord:
-    table = ip_series_closed(g)
+def _check_duality(g: int, closed: BettiTable) -> CheckRecord:
     try:
-        table.validate()
+        closed.validate()
     except ArithmeticError as exc:
         return CheckRecord("poincare-duality", g, "fail", str(exc))
     return CheckRecord(
@@ -416,13 +415,14 @@ def _skipped(name: str, g: int, cap: int) -> CheckRecord:
 
 
 def run_verification(g: int, cap: int) -> VerificationReport:
+    closed = ip_series_closed(g)
     checks: list[CheckRecord] = [
-        _check_intersection_routes(g),
+        _check_intersection_routes(g, closed),
         _check_equivariant_routes(g)
         if g <= cap
         else _skipped("equivariant-route-agreement", g, cap),
         _check_polynomiality(g),
-        _check_duality(g),
+        _check_duality(g, closed),
         _check_e_independence(g)
         if g <= min(cap, E_INDEPENDENCE_CAP)
         else _skipped("e-basis-independence", g, min(cap, E_INDEPENDENCE_CAP)),

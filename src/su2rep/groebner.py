@@ -14,6 +14,7 @@ exact basis that Buchberger computes.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,38 +124,54 @@ def normal_form(p: Poly, basis: GroebnerBasis | Sequence[Poly]) -> Poly:
 def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBasis:
     """Unique reduced monic Groebner basis of the ideal generated by gens.
 
-    Normal pair-selection strategy: the pair with the smallest lcm of
-    leading monomials is processed first.  Pairs with coprime leading
-    monomials are skipped (their S-polynomial always reduces to zero).
+    Normal pair-selection strategy: a heap hands out the pending pair with
+    the smallest lcm of leading monomials, ties broken by index.  Two
+    criteria skip pairs whose S-polynomial needs no reduction:
+    - coprime leading monomials (Buchberger's first criterion);
+    - the chain criterion (Buchberger's second criterion, as in
+      Gebauer-Moeller 1988): skip (i, j) when some other generator k has
+      lm_k | lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is pending.
     """
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (
-                monomial_key(
-                    monomial_lcm(
-                        basis[ij[0]].leading_monomial(),
-                        basis[ij[1]].leading_monomial(),
-                    )
-                ),
-                ij,
-            ),
-        )
-        pairs.remove((i, j))
-        lmi = basis[i].leading_monomial()
-        lmj = basis[j].leading_monomial()
-        if monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj):
+    reducers = _reducers(basis)
+    lms = [lm for lm, _, _ in reducers]
+    heap: list[tuple[tuple[int, int, int, int], tuple[int, int]]] = []
+    pending: set[tuple[int, int]] = set()
+
+    def push_pairs(j: int) -> None:
+        for i in range(j):
+            heapq.heappush(heap, (monomial_key(monomial_lcm(lms[i], lms[j])), (i, j)))
+            pending.add((i, j))
+
+    for j in range(1, len(basis)):
+        push_pairs(j)
+    while heap:
+        _, (i, j) = heapq.heappop(heap)
+        pending.remove((i, j))
+        lmi, lmj = lms[i], lms[j]
+        lcm = monomial_lcm(lmi, lmj)
+        if lcm == monomial_mul(lmi, lmj):
             continue
-        s = _reduce(s_polynomial(basis[i], basis[j]), _reducers(basis))
+        if any(
+            k != i
+            and k != j
+            and monomial_divides(lmk, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lmk in enumerate(lms)
+        ):
+            continue
+        s = _reduce(s_polynomial(basis[i], basis[j]), reducers)
         if s.is_zero():
             continue
-        basis.append(s.monic())
-        new = len(basis) - 1
-        pairs.update((i2, new) for i2 in range(new))
+        s = s.monic()
+        lm = s.leading_monomial()
+        basis.append(s)
+        lms.append(lm)
+        reducers.append((lm, s.terms[lm], s))
+        push_pairs(len(basis) - 1)
 
     # minimalize: ascending leading monomials, drop any divisible by a kept one
     basis.sort(key=lambda g: monomial_key(g.leading_monomial()))

@@ -28,7 +28,12 @@ from su2rep.exterior import (
     restriction_image_dimensions,
 )
 from su2rep.graded import ALPHA, xi
-from su2rep.groebner import normal_form, relation_ideal_basis
+from su2rep.groebner import (
+    CACHE_ENV_VAR,
+    _relation_basis_computed,
+    normal_form,
+    relation_ideal_basis,
+)
 from su2rep.series import TruncatedSeries
 
 
@@ -198,5 +203,23 @@ def test_criterion_9_e_basis_independence(capsys):
         9,
         "monomial spanning sets stay independent in the quotient, m=0..4",
         30.0,
+        body,
+    )
+
+
+def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    _relation_basis_computed.cache_clear()
+
+    def body():
+        basis = relation_ideal_basis(12)
+        assert basis.is_reduced()
+        assert len(basis.generators) == 92
+
+    _timed(
+        capsys,
+        10,
+        "reduced basis of I_12 computed with no cache or memo",
+        5.0,
         body,
     )

@@ -299,6 +299,19 @@ def test_pairing_matrix_structure(g):
         assert pairing_value(g, e.right, e.left) == e.value
 
 
+def test_pairing_matrix_expands_b_series_once(monkeypatch):
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return b_coefficients(K)
+
+    monkeypatch.setattr(assembly, "b_coefficients", counted)
+    entries = pairing_matrix(8)
+    assert calls == [7]
+    assert len(entries) > 1
+
+
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_pairing_consistent_with_top_identity(g):
     scale = factorial(g - 2) * (-4) ** (g - 1)

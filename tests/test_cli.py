@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from su2rep import cli
 from su2rep.cli import main
 
 RUN = [sys.executable, "-m", "su2rep"]
@@ -188,6 +189,22 @@ def test_verify_cap_override(capsys):
     assert status["equivariant-route-agreement"] == "pass"
     assert status["restriction-vs-invariant"] == "skipped"
     assert status["top-identity"] == "skipped"
+
+
+def test_verify_derives_closed_table_once(monkeypatch):
+    calls = []
+    original = cli.ip_series_closed
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cli, "ip_series_closed", counted)
+    report = cli.run_verification(3, 4)
+    assert calls == [3]
+    status = {c.name: c.status for c in report.checks}
+    assert status["intersection-route-agreement"] == "pass"
+    assert status["poincare-duality"] == "pass"
 
 
 # -- formats ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from su2rep.graded import (
     mumford_c,
     monomial_degree,
     monomial_divides,
+    monomial_key,
 )
 from su2rep.groebner import (
     CACHE_ENV_VAR,
@@ -249,3 +250,49 @@ BASIS_DIGESTS = {
 def test_relation_basis_matches_golden_digest(k):
     text = render_basis(buchberger(ideal_generators(k), source_k=k))
     assert hashlib.sha256(text.encode()).hexdigest() == BASIS_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_relation_basis_matches_sympy(k):
+    """Independent oracle: sympy's Buchberger under the same weighted order."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import MonomialOrder
+
+    class WeightedLex(MonomialOrder):
+        """Weighted degree (2, 4, 6), then lex: the order of `monomial_key`."""
+
+        alias = "wdeglex"
+        is_global = True
+
+        def __call__(self, m):
+            return (2 * m[0] + 4 * m[1] + 6 * m[2], m[0], m[1], m[2])
+
+    a, b, c = sympy.symbols("alpha beta gamma")
+
+    def to_expr(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(q.numerator, q.denominator) * a ** i * b ** j * c ** l
+                for (i, j, l), q in p.terms.items()
+            )
+        )
+
+    oracle = sympy.groebner(
+        [to_expr(p) for p in ideal_generators(k)],
+        a,
+        b,
+        c,
+        order=WeightedLex(),
+        method="buchberger",
+    )
+    expected = sorted(
+        (
+            Poly(
+                (m, Fraction(int(q.numerator), int(q.denominator)))
+                for m, q in g.monic().terms()
+            )
+            for g in oracle.polys
+        ),
+        key=lambda g: monomial_key(g.leading_monomial()),
+    )
+    assert buchberger(ideal_generators(k)).generators == tuple(expected)
