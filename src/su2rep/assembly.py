@@ -22,9 +22,9 @@ which is re-verified by Groebner normal forms at small genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .exterior import prim_dimension_formula
 from .graded import Monomial, Poly, expand_abxi_monomial, monomial_key, render_poly
@@ -98,17 +98,17 @@ def correction_series(g: int, N: int) -> TruncatedSeries:
     return out
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Intersection Betti numbers for degrees 0..6g-6, tagged by route."""
 
-    genus: int
-    coefficients: tuple[int, ...]
-    provenance: str
+    __slots__ = ("genus", "coefficients", "provenance")
 
-    def __post_init__(self):
-        if len(self.coefficients) != 6 * self.genus - 5:
+    def __init__(self, genus: int, coefficients: tuple[int, ...], provenance: str):
+        if len(coefficients) != 6 * genus - 5:
             raise ValueError("table must cover degrees 0..6g-6")
+        self.genus = genus
+        self.coefficients = coefficients
+        self.provenance = provenance
 
     def is_palindromic(self) -> bool:
         return self.coefficients == self.coefficients[::-1]
@@ -197,8 +197,7 @@ def b_coefficients(K: int) -> list[Fraction]:
 # E_m spanning sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class EMonomial:
+class EMonomial(NamedTuple):
     """alpha^i beta^j xi^k subject to the E_m admissibility conditions."""
 
     i: int
@@ -282,8 +281,7 @@ def equivariant_series_structural(g: int, N: int) -> TruncatedSeries:
 # E-basis independence in the quotient ring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
+class IndependenceVerdict(NamedTuple):
     m: int
     basis_size: int
     rank: int
@@ -351,8 +349,7 @@ def fundamental_class(g: int) -> Poly:
     return scale * expand_abxi_monomial(g - 2, g - 2, 1)
 
 
-@dataclass(frozen=True)
-class TopIdentityEntry:
+class TopIdentityEntry(NamedTuple):
     m: int
     n: int
     coefficient: Fraction
@@ -360,8 +357,7 @@ class TopIdentityEntry:
     residual: str
 
 
-@dataclass(frozen=True)
-class TopIdentityVerdict:
+class TopIdentityVerdict(NamedTuple):
     genus: int
     entries: tuple[TopIdentityEntry, ...]
     top_degree_dimension: int
@@ -410,8 +406,7 @@ def top_identity_check(g: int) -> TopIdentityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class PairingEntry:
+class PairingEntry(NamedTuple):
     left: tuple[int, int]
     right: tuple[int, int]
     m: int

@@ -11,11 +11,9 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .assembly import (
     E_INDEPENDENCE_CAP,
@@ -50,13 +48,12 @@ from .groebner import (
     leading_term_ideal,
     relation_ideal_basis,
 )
-from .series import latex_rational, monomial_str, zpoly_str
+from .series import TruncatedSeries, latex_rational, monomial_str, zpoly_str
 
 DEFAULT_GENUS_CAP = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     format: str
     genus: int | None = None
@@ -67,24 +64,17 @@ class RunConfig:
     unsafe_genus_cap: int = DEFAULT_GENUS_CAP
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     genus: int | None
     status: str  # pass | fail | skipped
     details: str
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "genus": self.genus,
-            "status": self.status,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     genus: int
     checks: tuple[CheckRecord, ...]
 
@@ -259,9 +249,8 @@ def _check_intersection_routes(g: int, closed: BettiTable) -> CheckRecord:
     )
 
 
-def _check_equivariant_routes(g: int) -> CheckRecord:
+def _check_equivariant_routes(g: int, closed: TruncatedSeries) -> CheckRecord:
     N = 6 * g + IP_EXTRA_ORDER
-    closed = equivariant_series_closed(g, N)
     structural = equivariant_series_structural(g, N)
     for d in range(N + 1):
         if closed.coefficient(d) != structural.coefficient(d):
@@ -277,9 +266,9 @@ def _check_equivariant_routes(g: int) -> CheckRecord:
     )
 
 
-def _check_polynomiality(g: int) -> CheckRecord:
+def _check_polynomiality(g: int, equivariant: TruncatedSeries) -> CheckRecord:
     N = 6 * g + IP_EXTRA_ORDER
-    diff = equivariant_series_closed(g, N) - correction_series(g, N)
+    diff = equivariant - correction_series(g, N)
     for d in range(6 * g - 5, N + 1):
         if diff.coefficient(d) != 0:
             return CheckRecord(
@@ -416,12 +405,13 @@ def _skipped(name: str, g: int, cap: int) -> CheckRecord:
 
 def run_verification(g: int, cap: int) -> VerificationReport:
     closed = ip_series_closed(g)
+    equivariant = equivariant_series_closed(g, 6 * g + IP_EXTRA_ORDER)
     checks: list[CheckRecord] = [
         _check_intersection_routes(g, closed),
-        _check_equivariant_routes(g)
+        _check_equivariant_routes(g, equivariant)
         if g <= cap
         else _skipped("equivariant-route-agreement", g, cap),
-        _check_polynomiality(g),
+        _check_polynomiality(g, equivariant),
         _check_duality(g, closed),
         _check_e_independence(g)
         if g <= min(cap, E_INDEPENDENCE_CAP)
@@ -460,6 +450,8 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
+    import json  # only --format json needs it; keeps start-up of the other formats lean
+
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graded import (
     Monomial,
@@ -40,8 +39,7 @@ from .series import RationalFunction, zpoly_mul
 CACHE_ENV_VAR = "SU2REP_GROEBNER_CACHE"
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """Reduced monic basis, generators sorted by ascending leading monomial."""
 
     generators: tuple[Poly, ...]
@@ -183,15 +181,18 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
             kept.append(g)
             kept_lms.append(lm)
 
-    # interreduce to the unique reduced basis
+    # interreduce to the unique reduced basis; reducing a minimal basis never
+    # changes a leading monomial, so only the changed reducer is replaced
+    reducers = _reducers(kept)
     changed = True
     while changed:
         changed = False
         for idx in range(len(kept)):
-            others = _reducers(kept[:idx] + kept[idx + 1 :])
-            h = _reduce(kept[idx], others).monic()
+            h = _reduce(kept[idx], reducers[:idx] + reducers[idx + 1 :]).monic()
             if h != kept[idx]:
                 kept[idx] = h
+                lm = reducers[idx][0]
+                reducers[idx] = (lm, h.terms[lm], h)
                 changed = True
     kept.sort(key=lambda g: monomial_key(g.leading_monomial()))
     return GroebnerBasis(generators=tuple(kept), source_k=source_k)
@@ -201,18 +202,17 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
 # monomial ideals and Hilbert series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal given by its antichain of minimal generators."""
 
-    generators: tuple[Monomial, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        gens = self.generators
-        for i, a in enumerate(gens):
-            for j, b in enumerate(gens):
+    def __init__(self, generators: tuple[Monomial, ...]):
+        for i, a in enumerate(generators):
+            for j, b in enumerate(generators):
                 if i != j and monomial_divides(a, b):
                     raise ValueError("generators must form an antichain")
+        self.generators = generators
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> MonomialIdeal:
@@ -360,5 +360,12 @@ def relation_ideal_basis(k: int) -> GroebnerBasis:
         return basis
     basis = _relation_basis_computed(k)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_basis(basis))
+    # write then rename, so a killed process never leaves a truncated file
+    # (which would still parse, as a smaller basis) under the final name
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(render_basis(basis))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return basis

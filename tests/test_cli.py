@@ -207,6 +207,50 @@ def test_verify_derives_closed_table_once(monkeypatch):
     assert status["poincare-duality"] == "pass"
 
 
+def test_verify_derives_closed_equivariant_series_once(monkeypatch):
+    # one series for both the route-agreement and the polynomiality check;
+    # ip_series_closed derives its own copy inside assembly
+    calls = []
+    original = cli.equivariant_series_closed
+
+    def counted(g, N):
+        calls.append((g, N))
+        return original(g, N)
+
+    monkeypatch.setattr(cli, "equivariant_series_closed", counted)
+    report = cli.run_verification(3, 4)
+    assert calls == [(3, 42)]
+    status = {c.name: c.status for c in report.checks}
+    assert status["equivariant-route-agreement"] == "pass"
+    assert status["polynomiality"] == "pass"
+    assert [c.details for c in report.checks[1:3]] == [
+        "series agree to order 42",
+        "degrees 13..42 all vanish",
+    ]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # each CLI job is its own process, so import cost is paid on every run;
+    # -S keeps site's .pth hooks from loading modules on su2rep's behalf
+    from pathlib import Path
+    import os
+
+    probe = (
+        "import sys, su2rep.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # -- formats ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -221,10 +221,23 @@ def test_cache_reproduces_uncached_result(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     first = relation_ideal_basis(2)  # writes the file
     cache_file = tmp_path / "relation-ideal-2.txt"
-    assert cache_file.exists()
+    assert list(tmp_path.iterdir()) == [cache_file]  # no temporary file left
     assert cache_file.read_text() == render_basis(uncached)
     second = relation_ideal_basis(2)  # reads it back
     assert first == uncached == second
+
+
+def test_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    # the final name appears only through the rename, so a write that dies
+    # before it leaves nothing a later run could parse as a smaller basis
+    def killed(src, dst):
+        raise OSError("killed before rename")
+
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr("su2rep.groebner.os.replace", killed)
+    with pytest.raises(OSError):
+        relation_ideal_basis(2)
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of render_basis(buchberger(ideal_generators(k), source_k=k)), taken
