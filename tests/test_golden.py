@@ -3,7 +3,8 @@
 Each invocation runs `su2rep.cli.main` in-process with no Groebner cache and
 compares the sha256 of its stdout with a digest taken before the renderers,
 the anticommutative algebra and the elimination were each folded into one
-implementation.  A refactor that changes a single output byte fails here.
+implementation (the `CAP_GRID` digests: before the verify battery became one
+table).  A refactor that changes a single output byte fails here.
 
 To print the digest table for the current code (from the repository root):
 
@@ -27,6 +28,11 @@ from su2rep.groebner import CACHE_ENV_VAR
 
 FORMATS = ("text", "json", "latex")
 
+# (genus, --unsafe-genus-cap): every capped check skipped at a user cap;
+# restriction stopped at its hard cap 3; brute-force prim run at its hard cap
+# 5 while e-independence and top-identity stop at 4; brute-force prim skipped
+CAP_GRID = ((3, 2), (4, 4), (5, 5), (6, 6))
+
 
 def _invocations() -> list[tuple[str, ...]]:
     base: list[tuple[str, ...]] = []
@@ -38,6 +44,10 @@ def _invocations() -> list[tuple[str, ...]]:
         base.append(("verify", "--genus", str(g)))
     base += [("ring", "--k", str(k)) for k in range(7)]
     base += [("e-basis", "--m", str(m)) for m in range(7)]
+    base += [
+        ("verify", "--genus", str(g), "--unsafe-genus-cap", str(cap))
+        for g, cap in CAP_GRID
+    ]
     return [args + ("--format", fmt) for args in base for fmt in FORMATS]
 
 
@@ -159,6 +169,18 @@ GOLDEN: dict[str, str] = {
     "e-basis --m 6 --format text": "ecfb0c4ec7dde8407b18c03057359dba91f777b86514792d26612a2fa62b0536",
     "e-basis --m 6 --format json": "e763d0cc024dd1a2b8e28134128a471d9cedd9fb3159aacde43e743dc09a9110",
     "e-basis --m 6 --format latex": "4f573852c1b1aef4220c6e67c983593f785cf3795beb57974b12e6c3b8eb114d",
+    "verify --genus 3 --unsafe-genus-cap 2 --format text": "eba8cfb685b92a412f9cb1a5977b4579e8985029da5a5b127f1a99f235be5987",
+    "verify --genus 3 --unsafe-genus-cap 2 --format json": "bf63272e3d500cc71ab239823564fd76f95eda3ab62e7a8ac34c740b5776a4e7",
+    "verify --genus 3 --unsafe-genus-cap 2 --format latex": "c499eb2c9a01d88b01c92c9e35e2c0a3ec439b41dcc399c071a200ba27754e78",
+    "verify --genus 4 --unsafe-genus-cap 4 --format text": "8fca860e26836efafb2cf4511106615c33fb3604f56e1ca38250cbaa24fbdd60",
+    "verify --genus 4 --unsafe-genus-cap 4 --format json": "353519d13d976be89d6fe1210e69b49eeec7995c84bc5f98b9fdad61c1c8a1a8",
+    "verify --genus 4 --unsafe-genus-cap 4 --format latex": "36148c2c0e82cab74924d4407923f788061bd0b8d0f6fe8b267c38b0b13899b1",
+    "verify --genus 5 --unsafe-genus-cap 5 --format text": "a983093b0412a7fe646ae6292375ab9709248b56f02e1656a52f4097848ad6e4",
+    "verify --genus 5 --unsafe-genus-cap 5 --format json": "cd48b458ebab4a2ec7859b93acdbbf4423e3bdc9e9858b0919f0ff0fc73ffc28",
+    "verify --genus 5 --unsafe-genus-cap 5 --format latex": "624378d783c57834c58bfff91f3c2ca76926baefd45daa23b85653a93b317cb3",
+    "verify --genus 6 --unsafe-genus-cap 6 --format text": "3f17f035494d4f16de9ec2ae2cac978414a142e93fe948f7dd8d47358f47b392",
+    "verify --genus 6 --unsafe-genus-cap 6 --format json": "d078eb20a13a4effebb3feac2468e1952ca479ad2de1a0d0b1a7e4db939608eb",
+    "verify --genus 6 --unsafe-genus-cap 6 --format latex": "c5c0740650f5c8ae1bef17ed040d04b7e53ea353b18591be3002a7aa683aab85",
 }
 
 
@@ -170,7 +192,7 @@ def _stdout_digest(args: tuple[str, ...]) -> str:
 
 
 def test_corpus_covers_every_invocation():
-    assert len(INVOCATIONS) == 114
+    assert len(INVOCATIONS) == 126
     assert sorted(GOLDEN) == sorted(" ".join(a) for a in INVOCATIONS)
 
 
