@@ -40,7 +40,6 @@ from .series import (
     RationalFunction,
     TruncatedSeries,
     series_div,
-    series_linear_combination,
     zpoly_mul,
     zpoly_pow,
     zpoly_scale,
@@ -85,10 +84,7 @@ def correction_series(g: int, N: int) -> TruncatedSeries:
         zpoly_scale((-1) ** (g - 1), zpoly_shift(zpoly_pow((1, -1), 2 * g), shift)),
         (1, 0, 1),
     )
-    half = Fraction(1, 2)
-    out = series_linear_combination(
-        [(half, plus.expand(N)), (half, minus.expand(N))]
-    )
+    out = Fraction(1, 2) * (plus.expand(N) + minus.expand(N))
     for d, c in enumerate(out.coeffs):
         if c < 0 or c.denominator != 1:
             raise ArithmeticError(

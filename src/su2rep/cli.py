@@ -5,7 +5,9 @@ command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation) so that identical invocations
 produce identical bytes and parsing plus re-rendering round-trips.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage.
+Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
+3 internal error (any exception, such as a corrupt cache file; the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import inf
 from typing import NamedTuple, Sequence
 
 from .assembly import (
@@ -53,25 +56,11 @@ from .series import TruncatedSeries, latex_rational, monomial_str, zpoly_str
 DEFAULT_GENUS_CAP = 4
 
 
-class RunConfig(NamedTuple):
-    command: str
-    format: str
-    genus: int | None = None
-    k: int | None = None
-    order: int | None = None
-    route: str = "closed"
-    m: int | None = None
-    unsafe_genus_cap: int = DEFAULT_GENUS_CAP
-
-
 class CheckRecord(NamedTuple):
     name: str
     genus: int | None
     status: str  # pass | fail | skipped
     details: str
-
-    def to_json(self) -> dict:
-        return self._asdict()
 
 
 class VerificationReport(NamedTuple):
@@ -84,19 +73,16 @@ class VerificationReport(NamedTuple):
         return "fail" if bad else "pass"
 
 
-def _rational_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 # ---------------------------------------------------------------------------
-# command implementations: each returns (document, exit_code)
+# command implementations: each takes the parsed arguments and returns
+# (document, exit_code)
 # ---------------------------------------------------------------------------
 
-def cmd_betti(config: RunConfig) -> tuple[dict, int]:
-    g = config.genus
+def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
+    g = args.genus
     table = (
         ip_series_closed(g)
-        if config.route == "closed"
+        if args.route == "closed"
         else ih_series_structural(g)
     )
     palindromic = table.is_palindromic()
@@ -117,15 +103,14 @@ def cmd_betti(config: RunConfig) -> tuple[dict, int]:
                 details=f"table is palindromic about degree {3 * g - 3}"
                 if palindromic
                 else "table fails palindromy",
-            ).to_json()
+            )._asdict()
         ],
     }
     return doc, 0 if palindromic else 1
 
 
-def cmd_ring(config: RunConfig) -> tuple[dict, int]:
-    k = config.k
-    order = config.order if config.order is not None else 24
+def cmd_ring(args: argparse.Namespace) -> tuple[dict, int]:
+    k, order = args.k, args.order
     basis = relation_ideal_basis(k)
     h = hilbert_series_quotient(leading_term_ideal(basis))
     num, den = h.reduced_pair()
@@ -149,8 +134,8 @@ def cmd_ring(config: RunConfig) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_pairing(config: RunConfig) -> tuple[dict, int]:
-    g = config.genus
+def cmd_pairing(args: argparse.Namespace) -> tuple[dict, int]:
+    g = args.genus
     entries = pairing_matrix(g)
     doc = {
         "command": "pairing",
@@ -162,7 +147,10 @@ def cmd_pairing(config: RunConfig) -> tuple[dict, int]:
                     "right": list(e.right),
                     "m": e.m,
                     "n": e.n,
-                    "value": _rational_json(e.value),
+                    "value": {
+                        "num": str(e.value.numerator),
+                        "den": str(e.value.denominator),
+                    },
                 }
                 for e in entries
             ],
@@ -172,19 +160,19 @@ def cmd_pairing(config: RunConfig) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_eq_series(config: RunConfig) -> tuple[dict, int]:
-    g = config.genus
-    order = config.order if config.order is not None else 6 * g + IP_EXTRA_ORDER
+def cmd_eq_series(args: argparse.Namespace) -> tuple[dict, int]:
+    g = args.genus
+    order = args.order if args.order is not None else 6 * g + IP_EXTRA_ORDER
     series = (
         equivariant_series_closed(g, order)
-        if config.route == "closed"
+        if args.route == "closed"
         else equivariant_series_structural(g, order)
     )
     doc = {
         "command": "eq-series",
         "genus": g,
         "data": {
-            "route": config.route,
+            "route": args.route,
             "order": order,
             "coefficients": [int(c) for c in series.coeffs],
         },
@@ -193,8 +181,8 @@ def cmd_eq_series(config: RunConfig) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_e_basis(config: RunConfig) -> tuple[dict, int]:
-    m = config.m
+def cmd_e_basis(args: argparse.Namespace) -> tuple[dict, int]:
+    m = args.m
     basis = e_basis(m)
     hilbert = e_hilbert(m)
     checks = []
@@ -211,7 +199,7 @@ def cmd_e_basis(config: RunConfig) -> tuple[dict, int]:
         checks.append(
             CheckRecord(
                 name="e-basis-independence", genus=None, status=status, details=details
-            ).to_json()
+            )._asdict()
         )
     doc = {
         "command": "e-basis",
@@ -228,219 +216,155 @@ def cmd_e_basis(config: RunConfig) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: each check returns (passed, details) from the genus and the closed table
 # ---------------------------------------------------------------------------
 
-def _check_intersection_routes(g: int, closed: BettiTable) -> CheckRecord:
-    structural = ih_series_structural(g)
-    for d, (a, b) in enumerate(zip(closed.coefficients, structural.coefficients)):
-        if a != b:
-            return CheckRecord(
-                "intersection-route-agreement",
-                g,
-                "fail",
-                f"first mismatch at degree {d}: closed {a}, structural {b}",
-            )
-    return CheckRecord(
-        "intersection-route-agreement",
-        g,
-        "pass",
-        f"tables agree in all degrees 0..{6 * g - 6}",
-    )
+def _first_mismatch(*columns) -> tuple[int, tuple] | None:
+    """First (index, values) at which the columns disagree, or None."""
+    for d, values in enumerate(zip(*columns)):
+        if len(set(values)) != 1:
+            return d, values
+    return None
 
 
-def _check_equivariant_routes(g: int, closed: TruncatedSeries) -> CheckRecord:
+def _check_intersection_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
+    bad = _first_mismatch(closed.coefficients, ih_series_structural(g).coefficients)
+    if bad:
+        d, (a, b) = bad
+        return False, f"first mismatch at degree {d}: closed {a}, structural {b}"
+    return True, f"tables agree in all degrees 0..{6 * g - 6}"
+
+
+def _check_equivariant_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
     N = 6 * g + IP_EXTRA_ORDER
-    structural = equivariant_series_structural(g, N)
-    for d in range(N + 1):
-        if closed.coefficient(d) != structural.coefficient(d):
-            return CheckRecord(
-                "equivariant-route-agreement",
-                g,
-                "fail",
-                f"first mismatch at degree {d}: closed {closed.coefficient(d)}, "
-                f"structural {structural.coefficient(d)}",
-            )
-    return CheckRecord(
-        "equivariant-route-agreement", g, "pass", f"series agree to order {N}"
+    bad = _first_mismatch(
+        equivariant_series_closed(g, N).coeffs,
+        equivariant_series_structural(g, N).coeffs,
     )
+    if bad:
+        d, (a, b) = bad
+        return False, f"first mismatch at degree {d}: closed {a}, structural {b}"
+    return True, f"series agree to order {N}"
 
 
-def _check_polynomiality(g: int, equivariant: TruncatedSeries) -> CheckRecord:
-    N = 6 * g + IP_EXTRA_ORDER
-    diff = equivariant - correction_series(g, N)
-    for d in range(6 * g - 5, N + 1):
-        if diff.coefficient(d) != 0:
-            return CheckRecord(
-                "polynomiality",
-                g,
-                "fail",
-                f"degree {d} coefficient {diff.coefficient(d)} does not vanish",
-            )
-    return CheckRecord(
-        "polynomiality", g, "pass", f"degrees {6 * g - 5}..{N} all vanish"
-    )
+def _check_polynomiality(g: int, closed: BettiTable) -> tuple[bool, str]:
+    # ip_series_closed, which built the closed table, raised ArithmeticError
+    # unless equivariant minus correction vanishes in exactly these degrees
+    return True, f"degrees {6 * g - 5}..{6 * g + IP_EXTRA_ORDER} all vanish"
 
 
-def _check_duality(g: int, closed: BettiTable) -> CheckRecord:
+def _check_duality(g: int, closed: BettiTable) -> tuple[bool, str]:
     try:
         closed.validate()
     except ArithmeticError as exc:
-        return CheckRecord("poincare-duality", g, "fail", str(exc))
-    return CheckRecord(
-        "poincare-duality",
-        g,
-        "pass",
-        "palindromic, nonnegative, degree-0 entry 1",
-    )
+        return False, str(exc)
+    return True, "palindromic, nonnegative, degree-0 entry 1"
 
 
-def _check_e_independence(g: int) -> CheckRecord:
-    for m in range(min(g, E_INDEPENDENCE_CAP) + 1):
+def _check_e_independence(g: int, closed: BettiTable) -> tuple[bool, str]:
+    for m in range(g + 1):
         verdict = e_basis_independence(m)
         if not verdict.passed:
-            return CheckRecord(
-                "e-basis-independence",
-                g,
-                "fail",
-                f"E_{m} normal forms dependent in degree {verdict.failing_degree}",
-            )
-    return CheckRecord(
-        "e-basis-independence",
-        g,
-        "pass",
-        f"full rank for m = 0..{min(g, E_INDEPENDENCE_CAP)}",
-    )
+            return False, f"E_{m} normal forms dependent in degree {verdict.failing_degree}"
+    return True, f"full rank for m = 0..{g}"
 
 
-def _check_b_series(g: int) -> CheckRecord:
+def _check_b_series(g: int, closed: BettiTable) -> tuple[bool, str]:
     prod = t_over_tanh_series(24) * tanh_over_t_series(24)
-    ok = prod.coefficient(0) == 1 and all(
-        prod.coefficient(d) == 0 for d in range(1, 25)
-    )
-    b = b_coefficients(2)
-    ok = ok and b == [1, Fraction(1, 3), Fraction(-1, 45)]
-    return CheckRecord(
-        "b-series-inverse",
-        None,
-        "pass" if ok else "fail",
-        "product with independent tanh expansion is 1 to order 24"
-        if ok
-        else "series product deviates from 1",
-    )
+    ok = prod == TruncatedSeries.one(24)
+    ok = ok and b_coefficients(2) == [1, Fraction(1, 3), Fraction(-1, 45)]
+    if ok:
+        return True, "product with independent tanh expansion is 1 to order 24"
+    return False, "series product deviates from 1"
 
 
-def _check_lefschetz(g: int) -> CheckRecord:
+def _check_lefschetz(g: int, closed: BettiTable) -> tuple[bool, str]:
     total = sum(
         prim_dimension_formula(g, l) * (g - l + 1) for l in range(g + 1)
     )
-    ok = total == 4 ** g
-    return CheckRecord(
-        "lefschetz-dimension-identity",
-        g,
-        "pass" if ok else "fail",
-        f"sum of prim(g,l)(g-l+1) = {total}, expected {4 ** g}",
+    return total == 4 ** g, f"sum of prim(g,l)(g-l+1) = {total}, expected {4 ** g}"
+
+
+def _check_prim_bruteforce(g: int, closed: BettiTable) -> tuple[bool, str]:
+    bad = _first_mismatch(
+        (prim_dimension_formula(g, l) for l in range(g + 1)),
+        (prim_dimension_bruteforce(g, l) for l in range(g + 1)),
     )
+    if bad:
+        l, (formula, brute) = bad
+        return False, f"l = {l}: formula {formula}, brute force {brute}"
+    return True, f"agree for l = 0..{g}"
 
 
-def _check_prim_bruteforce(g: int) -> CheckRecord:
-    for l in range(g + 1):
-        formula = prim_dimension_formula(g, l)
-        brute = prim_dimension_bruteforce(g, l)
-        if formula != brute:
-            return CheckRecord(
-                "prim-formula-vs-bruteforce",
-                g,
-                "fail",
-                f"l = {l}: formula {formula}, brute force {brute}",
-            )
-    return CheckRecord(
-        "prim-formula-vs-bruteforce", g, "pass", f"agree for l = 0..{g}"
-    )
-
-
-def _check_restriction(g: int) -> CheckRecord:
+def _check_restriction(g: int, closed: BettiTable) -> tuple[bool, str]:
     restricted = restriction_image_dimensions(g)
     invariant = invariant_truncated_dimensions(g)
     window = max(invariant)
     correction = correction_series(g, window)
-    for d in range(window + 1):
-        values = (restricted[d], invariant[d], int(correction.coefficient(d)))
-        if len(set(values)) != 1:
-            return CheckRecord(
-                "restriction-vs-invariant",
-                g,
-                "fail",
-                f"degree {d}: restriction {values[0]}, invariant {values[1]}, "
-                f"correction {values[2]}",
-            )
-    return CheckRecord(
-        "restriction-vs-invariant",
-        g,
-        "pass",
-        f"restriction, invariant, and correction agree in degrees 0..{window}",
+    # both dimension dicts are keyed 0..window in ascending order
+    bad = _first_mismatch(
+        restricted.values(), invariant.values(), map(int, correction.coeffs)
     )
+    if bad:
+        d, (r, i, c) = bad
+        return False, f"degree {d}: restriction {r}, invariant {i}, correction {c}"
+    return True, f"restriction, invariant, and correction agree in degrees 0..{window}"
 
 
-def _check_top_identity(g: int) -> CheckRecord:
+def _check_top_identity(g: int, closed: BettiTable) -> tuple[bool, str]:
     verdict = top_identity_check(g)
     if not verdict.passed:
         failing = [(e.m, e.n) for e in verdict.entries if not e.passed]
-        return CheckRecord(
-            "top-identity", g, "fail", f"nonzero normal form at (m, n) in {failing}"
-        )
+        return False, f"nonzero normal form at (m, n) in {failing}"
     pairs = ", ".join(f"({e.m},{e.n})" for e in verdict.entries)
-    return CheckRecord(
-        "top-identity",
-        g,
-        "pass",
+    return True, (
         f"normal forms vanish for {pairs}; top-degree quotient dimension "
-        f"{verdict.top_degree_dimension}",
+        f"{verdict.top_degree_dimension}"
     )
 
 
-def _skipped(name: str, g: int, cap: int) -> CheckRecord:
-    return CheckRecord(name, g, "skipped", f"genus {g} exceeds cap {cap}")
+# (name, hard cap, check), in report order.  A capped check runs while
+# g <= min(--unsafe-genus-cap, hard cap); inf means only the user's cap
+# applies, None means the check always runs.
+CHECKS = (
+    ("intersection-route-agreement", None, _check_intersection_routes),
+    ("equivariant-route-agreement", inf, _check_equivariant_routes),
+    ("polynomiality", None, _check_polynomiality),
+    ("poincare-duality", None, _check_duality),
+    ("e-basis-independence", E_INDEPENDENCE_CAP, _check_e_independence),
+    ("b-series-inverse", None, _check_b_series),
+    ("lefschetz-dimension-identity", None, _check_lefschetz),
+    ("prim-formula-vs-bruteforce", BRUTEFORCE_PRIM_CAP, _check_prim_bruteforce),
+    ("restriction-vs-invariant", RESTRICTION_CAP, _check_restriction),
+    ("top-identity", TOP_IDENTITY_CAP, _check_top_identity),
+)
 
 
 def run_verification(g: int, cap: int) -> VerificationReport:
     closed = ip_series_closed(g)
-    equivariant = equivariant_series_closed(g, 6 * g + IP_EXTRA_ORDER)
-    checks: list[CheckRecord] = [
-        _check_intersection_routes(g, closed),
-        _check_equivariant_routes(g, equivariant)
-        if g <= cap
-        else _skipped("equivariant-route-agreement", g, cap),
-        _check_polynomiality(g, equivariant),
-        _check_duality(g, closed),
-        _check_e_independence(g)
-        if g <= min(cap, E_INDEPENDENCE_CAP)
-        else _skipped("e-basis-independence", g, min(cap, E_INDEPENDENCE_CAP)),
-        _check_b_series(g),
-        _check_lefschetz(g),
-        _check_prim_bruteforce(g)
-        if g <= min(cap, BRUTEFORCE_PRIM_CAP)
-        else _skipped("prim-formula-vs-bruteforce", g, min(cap, BRUTEFORCE_PRIM_CAP)),
-        _check_restriction(g)
-        if g <= min(cap, RESTRICTION_CAP)
-        else _skipped("restriction-vs-invariant", g, min(cap, RESTRICTION_CAP)),
-        _check_top_identity(g)
-        if g <= min(cap, TOP_IDENTITY_CAP)
-        else _skipped("top-identity", g, min(cap, TOP_IDENTITY_CAP)),
-    ]
-    return VerificationReport(genus=g, checks=tuple(checks))
+    records = []
+    for name, hard_cap, check in CHECKS:
+        # t/tanh t does not depend on g, so its record carries no genus
+        genus = None if check is _check_b_series else g
+        if hard_cap is not None and g > min(cap, hard_cap):
+            status, details = "skipped", f"genus {g} exceeds cap {min(cap, hard_cap)}"
+        else:
+            passed, details = check(g, closed)
+            status = "pass" if passed else "fail"
+        records.append(CheckRecord(name, genus, status, details))
+    return VerificationReport(genus=g, checks=tuple(records))
 
 
-def cmd_verify(config: RunConfig) -> tuple[dict, int]:
-    report = run_verification(config.genus, config.unsafe_genus_cap)
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    report = run_verification(args.genus, args.unsafe_genus_cap)
     doc = {
         "command": "verify",
-        "genus": config.genus,
+        "genus": args.genus,
         "data": {
-            "genus_cap": config.unsafe_genus_cap,
+            "genus_cap": args.unsafe_genus_cap,
             "overall": report.overall,
         },
-        "checks": [c.to_json() for c in report.checks],
+        "checks": [c._asdict() for c in report.checks],
     }
     return doc, 0 if report.overall == "pass" else 1
 
@@ -453,13 +377,6 @@ def render_json(doc: dict) -> str:
     import json  # only --format json needs it; keeps start-up of the other formats lean
 
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _render_checks_text(doc: dict) -> list[str]:
-    lines = []
-    for c in doc["checks"]:
-        lines.append(f"[{c['status']:>7}] {c['name']}: {c['details']}")
-    return lines
 
 
 def render_text(doc: dict) -> str:
@@ -509,11 +426,10 @@ def render_text(doc: dict) -> str:
             f"verification report, genus {doc['genus']} "
             f"(genus cap {data['genus_cap']})"
         )
-        lines.extend(_render_checks_text(doc))
+    for c in doc["checks"]:
+        lines.append(f"[{c['status']:>7}] {c['name']}: {c['details']}")
+    if cmd == "verify":
         lines.append(f"overall: {data['overall'].upper()}")
-        return "\n".join(lines) + "\n"
-    if doc["checks"]:
-        lines.extend(_render_checks_text(doc))
     return "\n".join(lines) + "\n"
 
 
@@ -612,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ring", help="Groebner basis and Hilbert series of a relation ideal I_k"
     )
     p_ring.add_argument("--k", type=int, required=True)
-    p_ring.add_argument("--order", type=int, default=None)
+    p_ring.add_argument("--order", type=int, default=24)
     add_format(p_ring)
 
     p_pairing = sub.add_parser("pairing", help="intersection pairing matrix")
@@ -639,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_GENUS_CAP,
         help=(
             "raise the genus guard for Groebner-bound checks; checks with "
-            "hard model limits still cap below it (default 4)"
+            f"hard model limits still cap below it (default {DEFAULT_GENUS_CAP})"
         ),
     )
     add_format(p_verify)
@@ -657,7 +573,7 @@ COMMANDS = {
 }
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     genus = getattr(args, "genus", None)
     if genus is not None and genus < 2:
         parser.error("--genus must be at least 2")
@@ -676,24 +592,21 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
     cap = getattr(args, "unsafe_genus_cap", DEFAULT_GENUS_CAP)
     if cap < 2:
         parser.error("--unsafe-genus-cap must be at least 2")
-    return RunConfig(
-        command=args.command,
-        format=args.format,
-        genus=genus,
-        k=k,
-        order=order,
-        route=getattr(args, "route", "closed"),
-        m=m,
-        unsafe_genus_cap=cap,
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _validate(parser, args)
-    doc, exit_code = COMMANDS[config.command](config)
-    sys.stdout.write(RENDERERS[config.format](doc))
+    _validate(parser, args)
+    try:
+        doc, exit_code = COMMANDS[args.command](args)
+        sys.stdout.write(RENDERERS[args.format](doc))
+    except Exception:
+        # a crash, such as a corrupt cache file, must not read as a failed check
+        import traceback
+
+        traceback.print_exc()
+        return 3
     return exit_code
 
 

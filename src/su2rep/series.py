@@ -165,10 +165,6 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls([0], order)
-
-    @classmethod
     def one(cls, order: int) -> TruncatedSeries:
         return cls([1], order)
 
@@ -176,11 +172,6 @@ class TruncatedSeries:
         if d < 0 or d > self.order:
             raise IndexError(f"degree {d} outside truncation order {self.order}")
         return self.coeffs[d]
-
-    def truncated(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -236,22 +227,6 @@ class TruncatedSeries:
         return f"{zpoly_str(self.coeffs)} + O(t^{self.order + 1})"
 
 
-def series_linear_combination(
-    terms: Iterable[tuple[Fraction, TruncatedSeries]],
-) -> TruncatedSeries:
-    """Exact coefficient-wise linear combination, truncated to the common order."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one term")
-    n = min(s.order for _, s in terms)
-    out = [Fraction(0)] * (n + 1)
-    for c, s in terms:
-        c = Fraction(c)
-        for d in range(n + 1):
-            out[d] += c * s.coeffs[d]
-    return TruncatedSeries(out, n)
-
-
 def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Formal quotient a/b where b has nonzero constant term."""
     if b.coeffs[0] == 0:
@@ -301,29 +276,10 @@ class RationalFunction:
             out[d] = acc / d0
         return TruncatedSeries(out, order)
 
-    def __mul__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(
-            zpoly_mul(self.num, other.num), zpoly_mul(self.den, other.den)
-        )
-
-    def __add__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(
-            zpoly_add(
-                zpoly_mul(self.num, other.den), zpoly_mul(other.num, self.den)
-            ),
-            zpoly_mul(self.den, other.den),
-        )
-
-    def __sub__(self, other: RationalFunction) -> RationalFunction:
-        return self + RationalFunction(zpoly_scale(-1, other.num), other.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return zpoly_mul(self.num, other.den) == zpoly_mul(other.num, self.den)
-
-    def __hash__(self):
-        return hash(self.reduced_pair())
 
     def reduced_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerator and denominator with common polynomial and integer factors removed.
@@ -355,10 +311,6 @@ class RationalFunction:
             num_r = [-c for c in num_r]
             den_r = [-c for c in den_r]
         return zpoly_trim(num_r), zpoly_trim(den_r)
-
-    def reduced(self) -> RationalFunction:
-        num, den = self.reduced_pair()
-        return RationalFunction(num, den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num)!r}, {list(self.den)!r})"

@@ -31,6 +31,24 @@ def test_usage_errors_exit_2():
     assert spawn("nonsense").returncode == 2
 
 
+def test_corrupt_cache_exits_3(tmp_path):
+    # a crash must be told apart from a failed check (exit 1)
+    from su2rep.groebner import CACHE_ENV_VAR
+    import os
+
+    (tmp_path / "relation-ideal-2.txt").write_text("not a basis\n")
+    env = dict(os.environ)
+    env[CACHE_ENV_VAR] = str(tmp_path)
+    for args in (["verify", "--genus", "2"], ["ring", "--k", "2"]):
+        result = subprocess.run(
+            RUN + args, capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 3, args
+        assert result.stdout == ""
+        assert "Traceback" in result.stderr
+        assert "ValueError" in result.stderr
+
+
 def test_verify_passes_exit_0():
     result = spawn("verify", "--genus", "2")
     assert result.returncode == 0
@@ -227,6 +245,30 @@ def test_verify_derives_closed_equivariant_series_once(monkeypatch):
         "series agree to order 42",
         "degrees 13..42 all vanish",
     ]
+
+
+def test_polynomiality_record_follows_the_vanishing_test(monkeypatch):
+    # a correction series off by one in degree 6g-5 breaks polynomiality;
+    # verify must raise or report a failure, never a pass
+    from su2rep import assembly
+    from su2rep.series import TruncatedSeries
+
+    original = assembly.correction_series
+
+    def perturbed(g, N):
+        series = original(g, N)
+        coeffs = list(series.coeffs)
+        if N >= 6 * g - 5:
+            coeffs[6 * g - 5] += 1
+        return TruncatedSeries(coeffs, series.order)
+
+    monkeypatch.setattr(assembly, "correction_series", perturbed)
+    try:
+        report = cli.run_verification(3, 4)
+    except ArithmeticError:
+        return
+    status = {c.name: c.status for c in report.checks}
+    assert status["polynomiality"] == "fail"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():

@@ -8,7 +8,6 @@ from su2rep.series import (
     RationalFunction,
     TruncatedSeries,
     series_div,
-    series_linear_combination,
     zpoly_add,
     zpoly_mul,
     zpoly_pow,
@@ -91,7 +90,7 @@ def test_series_div_rejects_zero_constant_term():
 def test_linear_combination():
     a = TruncatedSeries([1, 0, 1], order=2)
     b = TruncatedSeries([0, 2, 4], order=2)
-    s = series_linear_combination([(Fraction(1, 2), a), (Fraction(1, 2), b)])
+    s = Fraction(1, 2) * (a + b)
     assert s.coeffs == (Fraction(1, 2), 1, Fraction(5, 2))
 
 
@@ -141,12 +140,11 @@ def test_expand_with_polynomial_numerator():
     assert f.expand(4).coeffs == (1, 4, 7, 8, 8)
 
 
-def test_rational_arithmetic_and_equality():
-    half = RationalFunction((1,), (2,))
+def test_rational_equality_across_scaling():
     geo = RationalFunction((1,), (1, -1))
-    combo = half * geo + half * geo
-    assert combo == geo
-    assert combo.reduced_pair() == ((1,), (1, -1))
+    scaled = RationalFunction((2,), (2, -2))
+    assert scaled == geo
+    assert scaled.reduced_pair() == ((1,), (1, -1))
 
 
 def test_reduced_cancels_common_factor():
@@ -175,20 +173,9 @@ def test_expand_times_denominator_recovers_numerator(num, den):
     assert back == expected
 
 
-@given(
-    zpolys,
-    zpolys.filter(lambda a: zpoly_trim(a)[0] != 0),
-    zpolys,
-    zpolys.filter(lambda a: zpoly_trim(a)[0] != 0),
-)
-def test_rational_sum_matches_series_sum(n1, d1, n2, d2):
-    f, g = RationalFunction(n1, d1), RationalFunction(n2, d2)
-    assert (f + g).expand(8) == f.expand(8) + g.expand(8)
-    assert (f * g).expand(8) == f.expand(8) * g.expand(8)
-
-
 @given(zpolys, zpolys.filter(lambda a: zpoly_trim(a)[0] != 0))
 def test_reduced_preserves_value(num, den):
     f = RationalFunction(num, den)
-    assert f.reduced() == f
-    assert f.reduced().expand(10) == f.expand(10)
+    reduced = RationalFunction(*f.reduced_pair())
+    assert reduced == f
+    assert reduced.expand(10) == f.expand(10)
