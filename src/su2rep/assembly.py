@@ -27,7 +27,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .exterior import prim_dimension_formula
-from .graded import Monomial, Poly, expand_abxi_monomial, monomial_key, render_poly
+from .graded import Monomial, Poly, expand_abxi_monomial, render_poly
 from .groebner import (
     hilbert_series_quotient,
     leading_term_ideal,
@@ -308,16 +308,7 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
     total_rank = 0
     for degree in sorted(by_degree):
         forms = by_degree[degree]
-        monomials = sorted(
-            {mono for p in forms for mono in p.terms}, key=monomial_key
-        )
-        index = {mono: idx for idx, mono in enumerate(monomials)}
-        rows = []
-        for p in forms:
-            row = [Fraction(0)] * len(monomials)
-            for mono, c in p.terms.items():
-                row[index[mono]] = c
-            rows.append(row)
+        rows = [p.terms for p in forms]
         rank = exact_rank(rows)
         total_rank += rank
         if rank < len(forms):

@@ -308,6 +308,9 @@ def _check_restriction(g: int, closed: BettiTable) -> tuple[bool, str]:
     if bad:
         d, (r, i, c) = bad
         return False, f"degree {d}: restriction {r}, invariant {i}, correction {c}"
+    # the three sides agree, so one all-zero side means nothing was compared
+    if not any(invariant.values()):
+        return False, f"vacuous: all-zero window, every side is 0 in degrees 0..{window}"
     return True, f"restriction, invariant, and correction agree in degrees 0..{window}"
 
 

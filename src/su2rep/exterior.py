@@ -202,17 +202,7 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
     power = g - l + 1
     gamma_pow = gamma_element(g) ** power
     domain = list(combinations(range(1, n + 1), l))
-    target_size = l + 2 * power
-    codomain = {
-        s: idx for idx, s in enumerate(combinations(range(1, n + 1), target_size))
-    }
-    rows = []
-    for s in domain:
-        image = ExtElement({(s, 0): Fraction(1)}) * gamma_pow
-        row = [Fraction(0)] * len(codomain)
-        for (t, _), c in image.terms.items():
-            row[codomain[t]] = c
-        rows.append(row)
+    rows = [(ExtElement({(s, 0): Fraction(1)}) * gamma_pow).terms for s in domain]
     return len(domain) - exact_rank(rows)
 
 
@@ -254,16 +244,6 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
     window = reliable_degree_window(g, U)
     result: dict[int, int] = {}
     for degree in range(window + 1):
-        basis = {}
-        for e in range(0, degree // 2 + 1):
-            size = degree - 2 * e
-            if size > 2 * g:
-                continue
-            for s in combinations(range(1, 2 * g + 1), size):
-                basis[(s, e)] = len(basis)
-        if not basis:
-            result[degree] = 0
-            continue
         rows = []
         for a in range(0, min(g, degree // 2) + 1):
             for b in range(0, (degree - 2 * a) // 4 + 1):
@@ -277,19 +257,9 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
                     v = (w ** a) * (four_u2 ** b)
                     for idx in s:
                         v = v * psis[idx]
-                    if v.is_zero():
-                        continue
-                    row = [Fraction(0)] * len(basis)
-                    for key, c in v.terms.items():
-                        row[basis[key]] = c
-                    rows.append(row)
-        if not rows:
-            result[degree] = 0
-            continue
-        full_rank = exact_rank(rows)
-        low_u_columns = [i for (s, e), i in basis.items() if e < g - 1]
-        projected = [[r[i] for i in low_u_columns] for r in rows]
-        result[degree] = full_rank - exact_rank(projected)
+                    rows.append(v.terms)
+        projected = [{k: c for k, c in r.items() if k[1] < g - 1} for r in rows]
+        result[degree] = exact_rank(rows) - exact_rank(projected)
     return result
 
 

@@ -1,77 +1,66 @@
-"""Exact rank computation over the rationals.
+"""Exact rank computation over the rationals, on sparse rows.
 
-Gaussian elimination with fractions: no pivoting subtleties, no tolerances.
+A row is a mapping from column to value; absent columns are zero and the
+columns only need to be mutually comparable.  One incremental elimination
+serves both entry points: each row is reduced against the pivot rows found
+so far, each pivot row keyed by its smallest column, and a row that does not
+reduce to zero becomes a new pivot row.  A row only meets pivot rows whose
+leading column it holds, so fill-in stays inside the row/column blocks of a
+block-diagonal matrix.  Fractions throughout: no pivoting subtleties, no
+tolerances.  The input mappings are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Iterable, Mapping
 
 
-def _fraction_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    work = [list(map(Fraction, r)) for r in rows]
-    if any(len(r) != len(work[0]) for r in work):
-        raise ValueError("rows must have equal length")
-    return work
+def _insert(row: Mapping, pivots: dict[Hashable, dict]) -> Hashable | None:
+    """Reduce a copy of `row` against `pivots`; store and return its leading column.
 
-
-def _echelon(work: list[list[Fraction]]) -> list[int]:
-    """Bring `work` to row echelon form in place; return the pivot columns.
-
-    Row p of the result has its first nonzero entry in column pivots[p];
-    rows from len(pivots) on are zero.
+    Returns None, storing nothing, when the row reduces to zero.
     """
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(work):
-            break
-        pivot_row = next(
-            (r for r in range(rank, len(work)) if work[r][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        top = work[rank]
-        pivot = top[col]
-        for r in range(rank + 1, len(work)):
-            row = work[r]
-            if row[col] != 0:
-                factor = row[col] / pivot
-                for c in range(col, ncols):
-                    row[c] -= factor * top[c]
-        pivots.append(col)
-    return pivots
+    work = {c: Fraction(v) for c, v in row.items() if v}
+    while work:
+        lead = min(work)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = work
+            return lead
+        factor = work[lead] / pivot[lead]
+        for c, v in pivot.items():
+            x = work.get(c, 0) - factor * v
+            if x:
+                work[c] = x
+            else:
+                del work[c]
+    return None
 
 
-def dependency_vector(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[Fraction, ...] | None:
+def dependency_vector(rows: Iterable[Mapping]) -> tuple[Fraction, ...] | None:
     """A nontrivial rational combination of the rows summing to zero, if one exists.
 
-    Returns None when the rows are linearly independent.  The combinations
-    summing to zero are the kernel of the transposed matrix, so its echelon
-    form hands back one by setting the first free variable to 1 and solving
-    for the pivot variables by back substitution.
+    Returns None when the rows are linearly independent.  Row i carries a
+    marker column (1, i) after its own columns, keyed (0, c); the first row
+    whose own columns cancel holds the combination in its markers.
     """
-    n = len(rows)
-    if n == 0:
-        return None
-    transposed = [list(col) for col in zip(*_fraction_rows(rows))]
-    pivots = _echelon(transposed)
-    free = next((i for i in range(n) if i not in pivots), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for p in reversed(range(len(pivots))):
-        row, col = transposed[p], pivots[p]
-        x[col] = -sum(row[i] * x[i] for i in range(col + 1, n)) / row[col]
-    return tuple(x)
+    rows = list(rows)
+    pivots: dict = {}
+    for i, row in enumerate(rows):
+        marked = {(0, c): v for c, v in row.items()}
+        marked[1, i] = 1
+        # no pivot row holds column (1, i), so every marked row leaves a pivot
+        lead = _insert(marked, pivots)
+        if lead[0] == 1:
+            combo = pivots[lead]
+            return tuple(combo.get((1, j), Fraction(0)) for j in range(len(rows)))
+    return None
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the matrix whose rows are the given rational vectors."""
-    return len(_echelon(_fraction_rows([r for r in rows if any(r)])))
+def exact_rank(rows: Iterable[Mapping]) -> int:
+    """Rank of the matrix whose rows are the given sparse rational vectors."""
+    pivots: dict = {}
+    for row in rows:
+        _insert(row, pivots)
+    return len(pivots)

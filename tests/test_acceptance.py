@@ -21,6 +21,7 @@ from su2rep.assembly import (
     tanh_over_t_series,
     top_identity_check,
 )
+from su2rep import exterior
 from su2rep.exterior import (
     invariant_truncated_dimensions,
     prim_dimension_bruteforce,
@@ -220,6 +221,22 @@ def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
         capsys,
         10,
         "reduced basis of I_12 computed with no cache or memo",
+        5.0,
+        body,
+    )
+
+
+def test_prim_bruteforce_g7_uncapped(capsys, monkeypatch):
+    monkeypatch.setattr(exterior, "BRUTEFORCE_PRIM_CAP", 7)
+
+    def body():
+        for l in range(8):
+            assert prim_dimension_bruteforce(7, l) == prim_dimension_formula(7, l)
+
+    _timed(
+        capsys,
+        11,
+        "brute-force primitive kernels match the formula at g=7, past the cap",
         5.0,
         body,
     )

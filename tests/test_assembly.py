@@ -26,7 +26,7 @@ from su2rep.assembly import (
     top_identity_check,
 )
 from su2rep.exterior import invariant_truncated_dimensions
-from su2rep.graded import ALPHA, BETA, GAMMA
+from su2rep.graded import ALPHA, BETA, GAMMA, Poly
 from su2rep.series import TruncatedSeries
 
 
@@ -209,6 +209,33 @@ def test_e_basis_independence_passes(m):
     assert verdict.passed
     assert verdict.rank == verdict.basis_size == len(e_basis(m))
     assert verdict.failing_degree is None and verdict.dependency is None
+
+
+def test_e_basis_independence_reports_a_dependency(monkeypatch):
+    # give the second of two E_3 monomials of one degree a normal form
+    # proportional to the first one's
+    basis = e_basis(3)
+    degree = next(
+        d for d in sorted({e.degree for e in basis})
+        if sum(e.degree == d for e in basis) >= 2
+    )
+    first, second = [e.expand() for e in basis if e.degree == degree][:2]
+    original = assembly.normal_form
+
+    def collapsing(p, gb):
+        if p == second:
+            return Fraction(-3) * original(first, gb)
+        return original(p, gb)
+
+    monkeypatch.setattr(assembly, "normal_form", collapsing)
+    verdict = e_basis_independence(3)
+    assert verdict.passed is False
+    assert verdict.failing_degree == degree
+    gb = assembly.relation_ideal_basis(3)
+    forms = [collapsing(e.expand(), gb) for e in basis if e.degree == degree]
+    dep = verdict.dependency
+    assert dep is not None and len(dep) == len(forms) and any(dep)
+    assert sum((c * f for c, f in zip(dep, forms)), Poly()).is_zero()
 
 
 def test_e_basis_independence_guard():

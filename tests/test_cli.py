@@ -271,6 +271,25 @@ def test_polynomiality_record_follows_the_vanishing_test(monkeypatch):
     assert status["polynomiality"] == "fail"
 
 
+def test_restriction_check_never_passes_on_an_all_zero_window(monkeypatch):
+    # at g=6 with the default truncation every compared entry is 0 on all
+    # three sides; agreement there compares nothing
+    from su2rep.series import TruncatedSeries
+
+    def zeros(g, U=None):
+        return {d: 0 for d in range(9)}
+
+    monkeypatch.setattr(cli, "restriction_image_dimensions", zeros)
+    monkeypatch.setattr(cli, "invariant_truncated_dimensions", zeros)
+    monkeypatch.setattr(cli, "correction_series", lambda g, N: TruncatedSeries([], N))
+    passed, details = cli._check_restriction(2, None)
+    assert passed is False
+    assert "all-zero window" in details
+    report = cli.run_verification(2, 3)
+    status = {c.name: c.status for c in report.checks}
+    assert status["restriction-vs-invariant"] == "fail"
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # each CLI job is its own process, so import cost is paid on every run;
     # -S keeps site's .pth hooks from loading modules on su2rep's behalf

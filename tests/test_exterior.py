@@ -18,19 +18,23 @@ from su2rep.linalg import dependency_vector, exact_rank
 
 # -- exact rank ---------------------------------------------------------------
 
+def sparse(rows):
+    return [dict(enumerate(r)) for r in rows]
+
+
 def test_exact_rank_small_cases():
     F = Fraction
     assert exact_rank([]) == 0
-    assert exact_rank([[F(0), F(0)]]) == 0
-    assert exact_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert exact_rank([[F(1), F(2)], [F(3), F(4)]]) == 2
-    assert exact_rank([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]]) == 2
+    assert exact_rank(sparse([[F(0), F(0)]])) == 0
+    assert exact_rank(sparse([[F(1), F(2)], [F(2), F(4)]])) == 1
+    assert exact_rank(sparse([[F(1), F(2)], [F(3), F(4)]])) == 2
+    assert exact_rank(sparse([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]])) == 2
 
 
 def test_dependency_vector_finds_relation():
     F = Fraction
-    assert dependency_vector([[F(1), F(0)], [F(0), F(1)]]) is None
-    dep = dependency_vector([[F(1), F(2)], [F(2), F(4)]])
+    assert dependency_vector(sparse([[F(1), F(0)], [F(0), F(1)]])) is None
+    dep = dependency_vector(sparse([[F(1), F(2)], [F(2), F(4)]]))
     assert dep is not None and any(dep)
     a, b = dep
     assert a * 1 + b * 2 == 0 and a * 2 + b * 4 == 0
@@ -44,8 +48,8 @@ def test_dependency_vector_finds_relation():
     )
 )
 def test_dependency_vector_is_consistent_with_rank(rows):
-    dep = dependency_vector(rows)
-    if exact_rank(rows) == len(rows):
+    dep = dependency_vector(sparse(rows))
+    if exact_rank(sparse(rows)) == len(rows):
         assert dep is None
     else:
         assert dep is not None and any(dep)
@@ -64,9 +68,33 @@ def test_dependency_vector_is_consistent_with_rank(rows):
     )
 )
 def test_rank_bounded_and_duplication_invariant(rows):
-    r = exact_rank(rows)
+    r = exact_rank(sparse(rows))
     assert 0 <= r <= min(len(rows), 3)
-    assert exact_rank(rows + rows) == r
+    assert exact_rank(sparse(rows + rows)) == r
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=3, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_rank_of_shuffled_block_diagonal_is_sum_of_block_ranks(blocks, rnd):
+    rows = [
+        {("block", b, c): v for c, v in enumerate(r) if v}
+        for b, block in enumerate(blocks)
+        for r in block
+    ]
+    rnd.shuffle(rows)
+    before = [dict(r) for r in rows]
+    assert exact_rank(rows) == sum(exact_rank(sparse(block)) for block in blocks)
+    assert rows == before
 
 
 # -- exterior algebra ---------------------------------------------------------
