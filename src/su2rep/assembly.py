@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .exterior import prim_dimension_formula
 from .graded import Monomial, Poly, expand_abxi_monomial, render_poly
 from .groebner import (
+    RING_DENOMINATOR,
     hilbert_series_quotient,
     leading_term_ideal,
     normal_form,
@@ -40,6 +41,7 @@ from .series import (
     RationalFunction,
     TruncatedSeries,
     series_div,
+    zpoly_add,
     zpoly_mul,
     zpoly_pow,
     zpoly_scale,
@@ -258,19 +260,17 @@ def ih_series_structural(g: int) -> BettiTable:
 
 
 def equivariant_series_structural(g: int, N: int) -> TruncatedSeries:
-    """sum_l prim(g,l) t^{3l} Hilbert(Q[alpha,beta,gamma]/I_{g-l}) to order N."""
+    """sum_l prim(g,l) t^{3l} Hilbert(Q[alpha,beta,gamma]/I_{g-l}) to order N.
+
+    The Hilbert numerators over RING_DENOMINATOR are summed, then expanded once.
+    """
     _require_genus(g)
-    coeffs = [Fraction(0)] * (N + 1)
-    for l in range(g + 1):
+    num: tuple[int, ...] = (0,)
+    for l in range(min(g, N // 3) + 1):  # t^{3l} with 3l > N adds nothing
+        h = hilbert_series_quotient(leading_term_ideal(relation_ideal_basis(g - l)))
         prim = prim_dimension_formula(g, l)
-        if 3 * l > N:
-            continue
-        h = hilbert_series_quotient(
-            leading_term_ideal(relation_ideal_basis(g - l))
-        ).expand(N - 3 * l)
-        for d, c in enumerate(h.coeffs):
-            coeffs[3 * l + d] += prim * c
-    return TruncatedSeries(coeffs, N)
+        num = zpoly_add(num, zpoly_shift(zpoly_scale(prim, h.num), 3 * l))
+    return RationalFunction(num, RING_DENOMINATOR).expand(N)
 
 
 # ---------------------------------------------------------------------------

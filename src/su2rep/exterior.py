@@ -1,7 +1,8 @@
 """Brute-force oracles in finite-dimensional anticommutative algebras.
 
 One sparse class, `ExtElement`, models both algebras, over the rationals
-with exact arithmetic.  A term is keyed by (strictly increasing index tuple,
+with exact arithmetic; integer coefficients stay `int`, anything else
+becomes a `Fraction`.  A term is keyed by (strictly increasing index tuple,
 u-exponent): anticommuting generators indexed by integers, times a power of
 an optional central even variable u.
 
@@ -32,6 +33,7 @@ from .linalg import exact_rank
 
 Subset = tuple[int, ...]
 Key = tuple[Subset, int]
+Coeff = int | Fraction
 
 BRUTEFORCE_PRIM_CAP = 5
 RESTRICTION_CAP = 3
@@ -72,13 +74,13 @@ class ExtElement:
     __slots__ = ("terms", "truncation")
 
     def __init__(
-        self, terms: Mapping[Key, Fraction] | Iterable = (), truncation: int | None = None
+        self, terms: Mapping[Key, Coeff] | Iterable = (), truncation: int | None = None
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
         top = 0 if truncation is None else truncation
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, Coeff] = {}
         for (s, e), c in items:
-            c = Fraction(c)
+            c = c if isinstance(c, int) else Fraction(c)
             if not c or e > top:
                 continue
             if e < 0:
@@ -87,7 +89,7 @@ class ExtElement:
             if list(s) != sorted(set(s)):
                 raise ValueError(f"index set {s} must be strictly increasing")
             key = (s, e)
-            clean[key] = clean.get(key, Fraction(0)) + c
+            clean[key] = clean.get(key, 0) + c
             if not clean[key]:
                 del clean[key]
         object.__setattr__(self, "terms", clean)
@@ -98,11 +100,11 @@ class ExtElement:
 
     @classmethod
     def generator(cls, i: int) -> ExtElement:
-        return cls({((i,), 0): Fraction(1)})
+        return cls({((i,), 0): 1})
 
     @classmethod
     def scalar(cls, c, truncation: int | None = None) -> ExtElement:
-        return cls({((), 0): Fraction(c)}, truncation)
+        return cls({((), 0): c}, truncation)
 
     def _check(self, other: ExtElement) -> None:
         if self.truncation != other.truncation:
@@ -115,7 +117,7 @@ class ExtElement:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
+            v = out.get(k, 0) + c
             if v:
                 out[k] = v
             else:
@@ -131,13 +133,13 @@ class ExtElement:
     def __rmul__(self, c) -> ExtElement:
         if isinstance(c, ExtElement):
             return NotImplemented
-        c = Fraction(c)
+        c = c if isinstance(c, int) else Fraction(c)
         return ExtElement({k: c * x for k, x in self.terms.items()}, self.truncation)
 
     def __mul__(self, other: ExtElement) -> ExtElement:
         self._check(other)
         top = 0 if self.truncation is None else self.truncation
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Coeff] = {}
         for (s1, e1), c1 in self.terms.items():
             for (s2, e2), c2 in other.terms.items():
                 e = e1 + e2
@@ -147,7 +149,7 @@ class ExtElement:
                 if sign == 0:
                     continue
                 key = (merged, e)
-                v = out.get(key, Fraction(0)) + sign * c1 * c2
+                v = out.get(key, 0) + sign * c1 * c2
                 if v:
                     out[key] = v
                 else:
@@ -182,7 +184,7 @@ def gamma_element(g: int) -> ExtElement:
     """-2 sum_{i=1..g} psi_i psi_{i+g}, homogeneous of exterior degree 2."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    return ExtElement({((i, i + g), 0): Fraction(-2) for i in range(1, g + 1)})
+    return ExtElement({((i, i + g), 0): -2 for i in range(1, g + 1)})
 
 
 def prim_dimension_formula(g: int, l: int) -> int:
@@ -202,7 +204,7 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
     power = g - l + 1
     gamma_pow = gamma_element(g) ** power
     domain = list(combinations(range(1, n + 1), l))
-    rows = [(ExtElement({(s, 0): Fraction(1)}) * gamma_pow).terms for s in domain]
+    rows = [(ExtElement({(s, 0): 1}) * gamma_pow).terms for s in domain]
     return len(domain) - exact_rank(rows)
 
 
@@ -215,9 +217,9 @@ def _jac_generators(g: int, U: int) -> tuple[ExtElement, ExtElement, list[ExtEle
 
     Every index lies in 1..2g, the generators of the genus-g model.
     """
-    w = ExtElement({((i, i + g), 0): Fraction(-2) for i in range(1, g + 1)}, U)
-    four_u2 = ExtElement({((), 2): Fraction(4)}, U)
-    psis = [ExtElement({((i,), 1): Fraction(-2)}, U) for i in range(1, 2 * g + 1)]
+    w = ExtElement({((i, i + g), 0): -2 for i in range(1, g + 1)}, U)
+    four_u2 = ExtElement({((), 2): 4}, U)
+    psis = [ExtElement({((i,), 1): -2}, U) for i in range(1, 2 * g + 1)]
     return w, four_u2, psis
 
 

@@ -5,9 +5,10 @@ All coefficients are `fractions.Fraction`; nothing here ever rounds.  A
 operations truncate to the smaller of the two orders.  A
 ``RationalFunction`` is a quotient of integer-coefficient polynomials in t
 whose denominator has nonzero constant term, so its expansion at t = 0 is
-well defined and computed by exact long division.  The text and LaTeX
-renderers for signed sums of monomials live here too, since every other
-module writes polynomials through them.
+well defined.  It is expanded by a recurrence over Z on the coefficients
+scaled by powers of that constant term, then one division per coefficient.
+The text and LaTeX renderers for signed sums of monomials live here too,
+since every other module writes polynomials through them.
 
 Values are immutable after construction; every operation returns a fresh
 object, so they are safe to share between concurrent callers.
@@ -263,18 +264,24 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     def expand(self, order: int) -> TruncatedSeries:
-        """Power-series expansion at t = 0 to the given order, by long division."""
+        """Power-series expansion at t = 0 to the given order, by a recurrence over Z.
+
+        For the t^d coefficient c_d and d0 = den[0], u_d = c_d d0^(d+1) is the
+        integer num[d] d0^d - sum_{m=1..min(d, deg den)} den[m] d0^(m-1) u_{d-m};
+        the one division per coefficient, c_d = u_d / d0^(d+1), comes last.
+        """
         if order < 0:
             raise ValueError("expansion order must be nonnegative")
         num, den = self.num, self.den
-        d0 = Fraction(den[0])
-        out = [Fraction(0)] * (order + 1)
+        d0, k = den[0], len(den) - 1
+        tail = [(k - m, c * d0 ** (m - 1)) for m, c in enumerate(den) if m and c]
+        u = [0] * k  # u_d sits at index k + d; the k zeros stand for d < 0
         for d in range(order + 1):
-            acc = Fraction(num[d]) if d < len(num) else Fraction(0)
-            for m in range(1, min(d, len(den) - 1) + 1):
-                acc -= den[m] * out[d - m]
-            out[d] = acc / d0
-        return TruncatedSeries(out, order)
+            acc = num[d] * d0**d if d < len(num) else 0
+            for j, c in tail:
+                acc -= c * u[d + j]
+            u.append(acc)
+        return TruncatedSeries([Fraction(x, d0 ** (d + 1)) for d, x in enumerate(u[k:])], order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

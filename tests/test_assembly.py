@@ -27,7 +27,7 @@ from su2rep.assembly import (
 )
 from su2rep.exterior import invariant_truncated_dimensions
 from su2rep.graded import ALPHA, BETA, GAMMA, Poly
-from su2rep.series import TruncatedSeries
+from su2rep.series import RationalFunction, TruncatedSeries
 
 
 # -- closed-form series -------------------------------------------------------
@@ -197,8 +197,23 @@ def test_equivariant_structural_g2_t6():
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_equivariant_routes_agree(g):
-    N = 6 * g + 24
-    assert equivariant_series_structural(g, N) == equivariant_series_closed(g, N)
+    # N below 3g leaves out the terms t^{3l} with 3l > N
+    for N in [*range(3 * g + 3), 6 * g + 24]:
+        assert equivariant_series_structural(g, N) == equivariant_series_closed(g, N)
+
+
+@pytest.mark.parametrize("g, N", [(2, 0), (2, 5), (3, 30), (4, 48)])
+def test_equivariant_structural_expands_once(monkeypatch, g, N):
+    calls = []
+    expand = RationalFunction.expand
+
+    def counting(self, order):
+        calls.append(order)
+        return expand(self, order)
+
+    monkeypatch.setattr(RationalFunction, "expand", counting)
+    equivariant_series_structural(g, N)
+    assert calls == [N]
 
 
 # -- independence ---------------------------------------------------------------

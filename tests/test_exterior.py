@@ -142,6 +142,32 @@ def test_gamma_element_values():
         gamma_element(1)
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_gamma_powers_keep_int_coefficients(g):
+    for p in range(g + 1):
+        assert all(type(c) is int for c in (gamma_element(g) ** p).terms.values())
+
+
+def _ext(terms, as_fraction):
+    return ExtElement({k: Fraction(c) if as_fraction else c for k, c in terms.items()})
+
+
+subsets = st.sets(st.integers(1, 5), max_size=3).map(lambda s: tuple(sorted(s)))
+ext_terms = st.dictionaries(st.tuples(subsets, st.just(0)), st.integers(-5, 5), max_size=4)
+
+
+@given(ext_terms, ext_terms, st.integers(-3, 3), st.integers(0, 3))
+def test_int_and_fraction_coefficients_agree(a, b, c, n):
+    xi, yi = _ext(a, False), _ext(b, False)
+    xf, yf = _ext(a, True), _ext(b, True)
+    assert xi == xf and yi == yf
+    assert xi + yi == xf + yf
+    assert xi * yi == xf * yf
+    assert xi ** n == xf ** n
+    assert c * xi == Fraction(c) * xf == c * xf
+    assert all(type(v) is int for v in (xi * yi + c * xi ** n).terms.values())
+
+
 def test_prim_dimensions_bruteforce_small_genus():
     assert [prim_dimension_bruteforce(2, l) for l in range(3)] == [1, 4, 5]
     assert all(prim_dimension_bruteforce(g, 0) == 1 for g in (2, 3, 4, 5))

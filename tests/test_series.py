@@ -173,6 +173,39 @@ def test_expand_times_denominator_recovers_numerator(num, den):
     assert back == expected
 
 
+def _long_division(num, den, order):
+    """Reference expansion: long division in Fraction, one coefficient at a time."""
+    out = []
+    for d in range(order + 1):
+        acc = Fraction(num[d]) if d < len(num) else Fraction(0)
+        for m in range(1, min(d, len(den) - 1) + 1):
+            acc -= den[m] * out[d - m]
+        out.append(acc / den[0])
+    return out
+
+
+big_ints = st.integers(-(10**6), 10**6)
+
+
+@given(
+    st.lists(big_ints, min_size=1, max_size=8),
+    st.sampled_from([1, -1, 2, -2, 3, -3, 6]),
+    st.lists(big_ints, max_size=7),
+)
+def test_expand_matches_fraction_long_division(num, d0, den_tail):
+    den = [d0] + den_tail
+    f = RationalFunction(num, den)
+    order = 80
+    expected = _long_division(f.num, f.den, order)
+    assert f.expand(order) == TruncatedSeries(expected, order)
+    assert all(type(c) is Fraction for c in f.expand(order).coeffs)
+
+
+def test_expand_negative_constant_term():
+    # 1/(-1 + t) = -1 - t - t^2 - ...
+    assert RationalFunction((1,), (-1, 1)).expand(6).coeffs == (-1,) * 7
+
+
 @given(zpolys, zpolys.filter(lambda a: zpoly_trim(a)[0] != 0))
 def test_reduced_preserves_value(num, den):
     f = RationalFunction(num, den)
