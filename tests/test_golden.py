@@ -4,7 +4,9 @@ Each invocation runs `su2rep.cli.main` in-process with no Groebner cache and
 compares the sha256 of its stdout with a digest taken before the renderers,
 the anticommutative algebra and the elimination were each folded into one
 implementation (the `CAP_GRID` digests: before the verify battery became one
-table).  A refactor that changes a single output byte fails here.
+table; the genus-16 pairing digests: before the pairing path computed one
+value per degree and the JSON writer replaced `json.dumps`).  A refactor
+that changes a single output byte fails here.
 
 To print the digest table for the current code (from the repository root):
 
@@ -32,6 +34,7 @@ FORMATS = ("text", "json", "latex")
 # restriction stopped at its hard cap 3; brute-force prim run at its hard cap
 # 5 while e-independence and top-identity stop at 4; brute-force prim skipped
 CAP_GRID = ((3, 2), (4, 4), (5, 5), (6, 6))
+PAIRING_GENUS_LARGE = 16
 
 
 def _invocations() -> list[tuple[str, ...]]:
@@ -48,6 +51,8 @@ def _invocations() -> list[tuple[str, ...]]:
         ("verify", "--genus", str(g), "--unsafe-genus-cap", str(cap))
         for g, cap in CAP_GRID
     ]
+    # the largest pairing matrix the benchmark renders (3280 entries)
+    base.append(("pairing", "--genus", str(PAIRING_GENUS_LARGE)))
     return [args + ("--format", fmt) for args in base for fmt in FORMATS]
 
 
@@ -181,6 +186,9 @@ GOLDEN: dict[str, str] = {
     "verify --genus 6 --unsafe-genus-cap 6 --format text": "3f17f035494d4f16de9ec2ae2cac978414a142e93fe948f7dd8d47358f47b392",
     "verify --genus 6 --unsafe-genus-cap 6 --format json": "d078eb20a13a4effebb3feac2468e1952ca479ad2de1a0d0b1a7e4db939608eb",
     "verify --genus 6 --unsafe-genus-cap 6 --format latex": "c5c0740650f5c8ae1bef17ed040d04b7e53ea353b18591be3002a7aa683aab85",
+    "pairing --genus 16 --format text": "9603acee4f76364f715b72e3d44cbc29474f775f7f9755e3a6773c990d1078a1",
+    "pairing --genus 16 --format json": "3ca94114cebab9f8d20e8dacdba1b76586bb32d8e037b83c9dd30c330d1a8e24",
+    "pairing --genus 16 --format latex": "3f296d74f72b2de0e7d392efb32ee792499ef607d1d1e1d0ddc88dfa60d63baa",
 }
 
 
@@ -192,7 +200,7 @@ def _stdout_digest(args: tuple[str, ...]) -> str:
 
 
 def test_corpus_covers_every_invocation():
-    assert len(INVOCATIONS) == 126
+    assert len(INVOCATIONS) == 129
     assert sorted(GOLDEN) == sorted(" ".join(a) for a in INVOCATIONS)
 
 
