@@ -401,49 +401,21 @@ class PairingEntry(NamedTuple):
     value: Fraction
 
 
-def pairing_value(g: int, left: tuple[int, int], right: tuple[int, int]) -> Fraction:
-    """<kappa(alpha^i beta^j), kappa(alpha^k beta^l)> = -(-4)^{g-1} m! b_{g-n-1}.
-
-    Defined only on the complementary-degree window m + 2n = 3g - 3 with
-    n < g - 1 (m = i + k, n = j + l); anything else is rejected.
-    """
-    _require_genus(g)
-    i, j = left
-    k, l = right
-    if min(i, j, k, l) < 0:
-        raise ValueError("exponents must be nonnegative")
-    m, n = i + k, j + l
-    if m + 2 * n != 3 * g - 3 or n >= g - 1:
-        raise ValueError(
-            f"(m, n) = ({m}, {n}) is outside the stated range "
-            f"m + 2n = {3 * g - 3}, n < {g - 1}"
-        )
-    return _pairing_from_b(g, m, n, b_coefficients(g - n - 1))
-
-
-def _pairing_from_b(g: int, m: int, n: int, b: list[Fraction]) -> Fraction:
-    """-(-4)^{g-1} m! b_{g-n-1}, reading b_{g-n-1} from the list b."""
-    return -((-4) ** (g - 1)) * factorial(m) * b[g - n - 1]
-
-
 def pairing_matrix(g: int) -> list[PairingEntry]:
-    """All admissible kappa-class pairings, ordered by (n, m, i, j)."""
+    """All admissible kappa-class pairings, ordered by (n, m, i, j).
+
+    The value -(-4)^{g-1} m! b_{g-n-1} depends only on n, since m = 3g-3-2n,
+    so the entries of one degree share one Fraction.
+    """
     _require_genus(g)
     b = b_coefficients(g - 1)
     entries = []
     for n in range(g - 1):
         m = 3 * g - 3 - 2 * n
-        for i in range(m + 1):
-            for j in range(n + 1):
-                left = (i, j)
-                right = (m - i, n - j)
-                entries.append(
-                    PairingEntry(
-                        left=left,
-                        right=right,
-                        m=m,
-                        n=n,
-                        value=_pairing_from_b(g, m, n, b),
-                    )
-                )
+        value = -((-4) ** (g - 1)) * factorial(m) * b[g - n - 1]
+        entries += [
+            PairingEntry((i, j), (m - i, n - j), m, n, value)
+            for i in range(m + 1)
+            for j in range(n + 1)
+        ]
     return entries

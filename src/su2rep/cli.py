@@ -2,8 +2,10 @@
 
 Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
-is canonical (sorted keys, fixed indentation) so that identical invocations
-produce identical bytes and parsing plus re-rendering round-trips.
+is canonical (sorted keys, fixed indentation): its bytes equal those of
+`json.dumps(doc, sort_keys=True, indent=2)`, built bottom-up by one writer,
+so identical invocations produce identical bytes and parsing plus
+re-rendering round-trips.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
 3 internal error (any exception, such as a corrupt cache file; the traceback
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 from typing import NamedTuple, Sequence
 
@@ -137,6 +140,11 @@ def cmd_ring(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_pairing(args: argparse.Namespace) -> tuple[dict, int]:
     g = args.genus
     entries = pairing_matrix(g)
+    # the value depends only on n: one shared dict per degree
+    values = {
+        n: {"num": str(v.numerator), "den": str(v.denominator)}
+        for n, v in {e.n: e.value for e in entries}.items()
+    }
     doc = {
         "command": "pairing",
         "genus": g,
@@ -147,10 +155,7 @@ def cmd_pairing(args: argparse.Namespace) -> tuple[dict, int]:
                     "right": list(e.right),
                     "m": e.m,
                     "n": e.n,
-                    "value": {
-                        "num": str(e.value.numerator),
-                        "den": str(e.value.denominator),
-                    },
+                    "value": values[e.n],
                 }
                 for e in entries
             ],
@@ -377,9 +382,42 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
-    import json  # only --format json needs it; keeps start-up of the other formats lean
+    """The bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
 
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    Built bottom-up: each container is joined once from its rendered items.
+    Only str, int, bool, None, dict (str keys), list and tuple are written;
+    anything else, float included, raises TypeError.
+    """
+    # imported here: only --format json needs it; keeps start-up of the other formats lean
+    from json.encoder import encode_basestring_ascii as quote
+
+    def dump(o, nl: str) -> str:
+        if isinstance(o, str):
+            return quote(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        inner = nl + "  "
+        if isinstance(o, dict):
+            parts = [quote(k) + ": " + dump(v, inner) for k, v in sorted(o.items())]
+            brackets = "{}"
+        elif isinstance(o, (list, tuple)):
+            parts = [dump(v, inner) for v in o]
+            brackets = "[]"
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not parts:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
+
+    return dump(doc, "\n") + "\n"
+
+
+@lru_cache
+def _doc_fraction(num: str, den: str) -> Fraction:
+    """A rendered document's {"num", "den"} value, parsed once per distinct pair."""
+    return Fraction(int(num), int(den))
 
 
 def render_text(doc: dict) -> str:
@@ -408,7 +446,7 @@ def render_text(doc: dict) -> str:
         for e in data["entries"]:
             i, j = e["left"]
             k, l = e["right"]
-            value = Fraction(int(e["value"]["num"]), int(e["value"]["den"]))
+            value = _doc_fraction(e["value"]["num"], e["value"]["den"])
             lines.append(
                 f"  <kappa({monomial_str((i, j), VARIABLE_NAMES)}), "
                 f"kappa({monomial_str((k, l), VARIABLE_NAMES)})> = {value}"
@@ -462,7 +500,7 @@ def render_latex(doc: dict) -> str:
         for e in data["entries"]:
             i, j = e["left"]
             k, l = e["right"]
-            value = Fraction(int(e["value"]["num"]), int(e["value"]["den"]))
+            value = _doc_fraction(e["value"]["num"], e["value"]["den"])
             lines.append(
                 rf"$\kappa(\alpha^{{{i}}}\beta^{{{j}}})$ & "
                 rf"$\kappa(\alpha^{{{k}}}\beta^{{{l}}})$ & "

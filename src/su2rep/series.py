@@ -150,7 +150,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("empty coefficient list needs an explicit order")

@@ -7,6 +7,7 @@ performance regression fails loudly instead of silently degrading.
 
 import time
 from fractions import Fraction
+from math import factorial
 
 from su2rep.assembly import (
     b_coefficients,
@@ -16,7 +17,7 @@ from su2rep.assembly import (
     equivariant_series_structural,
     ih_series_structural,
     ip_series_closed,
-    pairing_value,
+    pairing_matrix,
     t_over_tanh_series,
     tanh_over_t_series,
     top_identity_check,
@@ -160,9 +161,15 @@ def test_criterion_7_top_identity_and_pairing(capsys):
             verdict = top_identity_check(g)
             failing = [(e.m, e.n) for e in verdict.entries if not e.passed]
             assert verdict.passed, f"failing (m, n) pairs at genus {g}: {failing}"
+            # the pairing matrix is a second route to the same coefficients
+            pairing = {(e.left, e.right): e.value for e in pairing_matrix(g)}
+            scale = factorial(g - 2) * (-4) ** (g - 1)
+            for e in verdict.entries:
+                assert pairing[(e.m, e.n), (0, 0)] == -e.coefficient * scale
         gb = relation_ideal_basis(2)
         assert normal_form(ALPHA ** 3, gb) == -2 * xi()
-        assert pairing_value(2, (1, 0), (2, 0)) == 8
+        values = {(e.left, e.right): e.value for e in pairing_matrix(2)}
+        assert values[(1, 0), (2, 0)] == 8
 
     _timed(
         capsys,

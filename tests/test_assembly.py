@@ -20,14 +20,13 @@ from su2rep.assembly import (
     ih_series_structural,
     ip_series_closed,
     pairing_matrix,
-    pairing_value,
     t_over_tanh_series,
     tanh_over_t_series,
     top_identity_check,
 )
 from su2rep.exterior import invariant_truncated_dimensions
 from su2rep.graded import ALPHA, BETA, GAMMA, Poly
-from su2rep.series import RationalFunction, TruncatedSeries
+from su2rep.series import RationalFunction, TruncatedSeries, series_div
 
 
 # -- closed-form series -------------------------------------------------------
@@ -298,19 +297,33 @@ def test_top_identity_guard():
         top_identity_check(5)
 
 
+def pairing_value(g, left, right):
+    """The paper's formula for one entry, <kappa(alpha^i beta^j), kappa(alpha^k beta^l)>.
+
+    -(-4)^{g-1} m! b_{g-n-1} with m = i+k, n = j+l, reading b_K off
+    1 / (tanh t / t), the expansion `b_coefficients` does not use.
+    """
+    (i, j), (k, l) = left, right
+    m, n = i + k, j + l
+    assert min(i, j, k, l) >= 0 and m + 2 * n == 3 * g - 3 and n < g - 1
+    K = g - n - 1
+    b = series_div(TruncatedSeries.one(2 * K), tanh_over_t_series(2 * K))
+    return -((-4) ** (g - 1)) * factorial(m) * b.coefficient(2 * K)
+
+
+def _pairing_entry(g, left, right):
+    (entry,) = [e for e in pairing_matrix(g) if (e.left, e.right) == (left, right)]
+    return entry.value
+
+
 def test_pairing_values():
-    assert pairing_value(2, (1, 0), (2, 0)) == 8
-    assert pairing_value(2, (0, 0), (3, 0)) == 8
-    assert pairing_value(3, (2, 1), (2, 0)) == -128
-
-
-def test_pairing_range_rejection():
-    with pytest.raises(ValueError):
-        pairing_value(2, (0, 0), (0, 0))  # m + 2n != 3g-3
-    with pytest.raises(ValueError):
-        pairing_value(3, (0, 1), (2, 1))  # n = 2 >= g-1
-    with pytest.raises(ValueError):
-        pairing_value(2, (-1, 0), (4, 0))
+    for g, left, right, value in [
+        (2, (1, 0), (2, 0), 8),
+        (2, (0, 0), (3, 0), 8),
+        (3, (2, 1), (2, 0), -128),
+    ]:
+        assert pairing_value(g, left, right) == value
+        assert _pairing_entry(g, left, right) == value
 
 
 def test_pairing_matrix_g2():
@@ -341,6 +354,13 @@ def test_pairing_matrix_structure(g):
         assert pairing_value(g, e.right, e.left) == e.value
 
 
+@pytest.mark.parametrize("g", [2, 3, 8, 16])
+def test_pairing_matrix_shares_one_value_per_degree(g):
+    entries = pairing_matrix(g)
+    assert len({id(e.value) for e in entries}) == g - 1
+    assert len({e.n for e in entries}) == g - 1
+
+
 def test_pairing_matrix_expands_b_series_once(monkeypatch):
     calls = []
 
@@ -359,4 +379,4 @@ def test_pairing_consistent_with_top_identity(g):
     scale = factorial(g - 2) * (-4) ** (g - 1)
     for entry in top_identity_check(g).entries:
         expected = -entry.coefficient * scale
-        assert pairing_value(g, (entry.m, entry.n), (0, 0)) == expected
+        assert _pairing_entry(g, (entry.m, entry.n), (0, 0)) == expected

@@ -1,8 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from su2rep import cli
 from su2rep.cli import main
@@ -118,6 +122,12 @@ def test_pairing_g3_grouped(capsys):
     doc, _, code = run_json(capsys, "pairing", "--genus", "3")
     groups = {(e["m"], e["n"]) for e in doc["data"]["entries"]}
     assert groups == {(6, 0), (4, 1)}
+
+
+@pytest.mark.parametrize("g", [2, 3, 8, 16])
+def test_pairing_document_shares_one_value_dict_per_degree(g):
+    doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
+    assert len({id(e["value"]) for e in doc["data"]["entries"]}) == g - 1
 
 
 # -- eq-series ----------------------------------------------------------------------
@@ -329,6 +339,44 @@ def test_json_round_trips_byte_identically(capsys, args):
     _, raw, code = run_json(capsys, *args)
     assert code == 0
     assert json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n" == raw
+
+
+# every code point, control characters and lone surrogates included
+any_text = st.text(st.characters(exclude_categories=()))
+json_scalars = (
+    any_text
+    | st.integers(-(10**40), 10**40)
+    | st.booleans()
+    | st.none()
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_docs)
+def test_render_json_matches_json_dumps(doc):
+    # json.dumps is the reference the writer reproduces byte for byte
+    assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_json_empty_containers_at_depth():
+    doc = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}}
+    assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert cli.render_json([]) == "[]\n"
+    assert cli.render_json({}) == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, {"x": [0.0]}, [Fraction(1, 2)], {1: "a"}, {None: 1}, {"a": {2: 3}}]
+)
+def test_render_json_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli.render_json(doc)
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ FORMATS = ("text", "json", "latex")
 # restriction stopped at its hard cap 3; brute-force prim run at its hard cap
 # 5 while e-independence and top-identity stop at 4; brute-force prim skipped
 CAP_GRID = ((3, 2), (4, 4), (5, 5), (6, 6))
-PAIRING_GENUS_LARGE = 16
 
 
 def _invocations() -> list[tuple[str, ...]]:
@@ -52,7 +51,7 @@ def _invocations() -> list[tuple[str, ...]]:
         for g, cap in CAP_GRID
     ]
     # the largest pairing matrix the benchmark renders (3280 entries)
-    base.append(("pairing", "--genus", str(PAIRING_GENUS_LARGE)))
+    base.append(("pairing", "--genus", "16"))
     return [args + ("--format", fmt) for args in base for fmt in FORMATS]
 
 

@@ -59,6 +59,13 @@ def test_series_construction_pads_and_truncates():
     assert t.coeffs == (1, 2, 3)
 
 
+def test_series_keeps_fraction_coefficients_as_given():
+    # expand builds each coefficient once; the constructor must not copy it
+    f = Fraction(-7, 3)
+    assert TruncatedSeries([f]).coeffs[0] is f
+    assert type(TruncatedSeries([2, True]).coeffs[1]) is Fraction
+
+
 def test_series_mul_truncates_to_common_order():
     a = TruncatedSeries([1, 1, 1, 1], order=3)
     b = TruncatedSeries([1, -1], order=5)
