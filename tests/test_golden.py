@@ -5,7 +5,8 @@ compares the sha256 of its stdout with a digest taken before the renderers,
 the anticommutative algebra and the elimination were each folded into one
 implementation (the `CAP_GRID` digests: before the verify battery became one
 table; the genus-16 pairing digests: before the pairing path computed one
-value per degree and the JSON writer replaced `json.dumps`).  A refactor
+value per degree and the JSON writer replaced `json.dumps`; the k=7 ring
+digests: before Hilbert series were reduced over Z[t]).  A refactor
 that changes a single output byte fails here.
 
 To print the digest table for the current code (from the repository root):
@@ -52,6 +53,8 @@ def _invocations() -> list[tuple[str, ...]]:
     ]
     # the largest pairing matrix the benchmark renders (3280 entries)
     base.append(("pairing", "--genus", "16"))
+    # the largest ring the benchmark prints (Hilbert numerator of degree 38)
+    base.append(("ring", "--k", "7", "--order", "120"))
     return [args + ("--format", fmt) for args in base for fmt in FORMATS]
 
 
@@ -188,6 +191,9 @@ GOLDEN: dict[str, str] = {
     "pairing --genus 16 --format text": "9603acee4f76364f715b72e3d44cbc29474f775f7f9755e3a6773c990d1078a1",
     "pairing --genus 16 --format json": "3ca94114cebab9f8d20e8dacdba1b76586bb32d8e037b83c9dd30c330d1a8e24",
     "pairing --genus 16 --format latex": "3f296d74f72b2de0e7d392efb32ee792499ef607d1d1e1d0ddc88dfa60d63baa",
+    "ring --k 7 --order 120 --format text": "a1eefc412e3a93ef942bd2af5a623249cf4d3935065015dd973d1f768822c4f9",
+    "ring --k 7 --order 120 --format json": "b36257850acdafac441fcadb21adb38429e985b64143a92100eada7541312540",
+    "ring --k 7 --order 120 --format latex": "33ed1ed0992d27e57c038cc6fec0e4c4462f91e147919ee2276d7202293311dd",
 }
 
 
@@ -199,7 +205,7 @@ def _stdout_digest(args: tuple[str, ...]) -> str:
 
 
 def test_corpus_covers_every_invocation():
-    assert len(INVOCATIONS) == 129
+    assert len(INVOCATIONS) == 132
     assert sorted(GOLDEN) == sorted(" ".join(a) for a in INVOCATIONS)
 
 
