@@ -326,15 +326,8 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# fundamental class, top identity, pairing
+# top identity, pairing
 # ---------------------------------------------------------------------------
-
-def fundamental_class(g: int) -> Poly:
-    """alpha^{g-2} beta^{g-2} xi / ((g-2)! (-4)^{g-1}), degree 6g-6."""
-    _require_genus(g)
-    scale = Fraction(1, factorial(g - 2) * (-4) ** (g - 1))
-    return scale * expand_abxi_monomial(g - 2, g - 2, 1)
-
 
 class TopIdentityEntry(NamedTuple):
     m: int

@@ -236,24 +236,8 @@ RING_DENOMINATOR = zpoly_mul(
 )
 
 
-def _subset_numerator(gens: Sequence[Monomial]) -> dict[int, int]:
-    """Numerator coefficients from the literal subset sum; exponential in len(gens)."""
-    coeffs: dict[int, int] = {}
-
-    def visit(idx: int, lcm: Monomial, sign: int) -> None:
-        if idx == len(gens):
-            d = monomial_degree(lcm)
-            coeffs[d] = coeffs.get(d, 0) + sign
-            return
-        visit(idx + 1, lcm, sign)
-        visit(idx + 1, monomial_lcm(lcm, gens[idx]), -sign)
-
-    visit(0, (0, 0, 0), 1)
-    return {d: c for d, c in coeffs.items() if c}
-
-
 def _pivot_numerator(gens: tuple[Monomial, ...]) -> dict[int, int]:
-    """Same sum as `_subset_numerator`, grouped by a pivot generator.
+    """The inclusion-exclusion numerator sum_S (-1)^|S| t^(deg lcm S), by pivots.
 
     Splitting the subsets by membership of the last generator p gives
     K(G) = K(G without p) - t^(deg p) * K({lcm(m, p)/p : m in G without p}),
@@ -288,12 +272,7 @@ def hilbert_series_quotient(ideal: MonomialIdeal) -> RationalFunction:
     (-1)^|S| t^(deg lcm S), evaluated by the pivot recursion above.
     """
     coeffs = _pivot_numerator(ideal.generators)
-    top = max(coeffs) if coeffs else 0
-    num = [0] * (top + 1)
-    for d, c in coeffs.items():
-        num[d] = c
-    if not any(num):
-        num = [0]
+    num = [coeffs.get(d, 0) for d in range(max(coeffs, default=0) + 1)]
     return RationalFunction(num, RING_DENOMINATOR)
 
 

@@ -1,9 +1,11 @@
 """Exact truncated power series in t and rational functions with series expansion.
 
-All coefficients are `fractions.Fraction`; nothing here ever rounds.  A
+Nothing here ever rounds.  Polynomials in t are tuples of ``int``
+coefficients, ascending, and the ``zpoly_*`` functions are their one
+arithmetic, over Z[t]; only series have coefficients in Q (``Fraction``).  A
 ``TruncatedSeries`` carries an explicit truncation order, and binary
 operations truncate to the smaller of the two orders.  A
-``RationalFunction`` is a quotient of integer-coefficient polynomials in t
+``RationalFunction`` is a quotient of integer polynomials in t
 whose denominator has nonzero constant term, so its expansion at t = 0 is
 well defined.  It is expanded by a recurrence over Z on the coefficients
 scaled by powers of that constant term, then one division per coefficient.
@@ -17,11 +19,12 @@ object, so they are safe to share between concurrent callers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials in t, as plain lists of coefficients
+# dense integer polynomials in t, as tuples of coefficients
 # ---------------------------------------------------------------------------
 
 def zpoly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -29,7 +32,7 @@ def zpoly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(coeffs[:n]) if n else (0,)
 
 
 def zpoly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -78,6 +81,45 @@ def zpoly_shift(a: Sequence[int], k: int) -> tuple[int, ...]:
     if k < 0:
         raise ValueError("negative shift")
     return zpoly_trim([0] * k + list(a))
+
+
+def zpoly_divexact(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The quotient a / b in Z[t]; ArithmeticError unless b divides a there."""
+    r, b = list(zpoly_trim(a)), zpoly_trim(b)
+    db, lb = len(b) - 1, b[-1]
+    out = [0] * max(len(r) - db, 1)
+    for k in range(len(r) - 1 - db, -1, -1):
+        q = out[k] = r[k + db] // lb
+        for i, c in enumerate(b):
+            r[k + i] -= q * c
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return zpoly_trim(out)
+
+
+def _zpoly_primitive(a: Sequence[int]) -> tuple[int, ...]:
+    a = zpoly_trim(a)
+    c = gcd(*a)
+    return a if c <= 1 else tuple(x // c for x in a)
+
+
+def zpoly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd in Z[t] with positive leading coefficient; gcd(0, 0) = (0,).
+
+    Euclid on primitive parts of pseudo-remainders lc(b)^e a mod b, which stay
+    in Z[t]; by Gauss's lemma the result divides a and b exactly there.
+    """
+    a, b = _zpoly_primitive(a), _zpoly_primitive(b)
+    while b != (0,):
+        r, lb, db = list(a), b[-1], len(b) - 1
+        while len(r) > db:
+            c = r.pop()
+            if c:
+                r = [lb * x for x in r]
+                for i, y in enumerate(b[:-1], len(r) - db):
+                    r[i] -= c * y
+        a, b = b, _zpoly_primitive(r)
+    return a if a[-1] >= 0 else zpoly_scale(-1, a)
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +337,12 @@ class RationalFunction:
         constant term is positive.  Scaling both parts by the same rational
         leaves the quotient unchanged, which is all this relies on.
         """
-        from math import gcd, lcm
-
-        num = [Fraction(c) for c in self.num]
-        den = [Fraction(c) for c in self.den]
-        g = _qpoly_gcd(num, den)
-        if len(g) > 1:
-            num = _qpoly_divexact(num, g)
-            den = _qpoly_divexact(den, g)
-        m = 1
-        for c in num + den:
-            m = lcm(m, c.denominator)
-        num_r = [int(c * m) for c in num]
-        den_r = [int(c * m) for c in den]
-        content = 0
-        for c in num_r + den_r:
-            content = gcd(content, abs(c))
-        if content > 1:
-            num_r = [c // content for c in num_r]
-            den_r = [c // content for c in den_r]
-        if den_r[0] < 0:
-            num_r = [-c for c in num_r]
-            den_r = [-c for c in den_r]
-        return zpoly_trim(num_r), zpoly_trim(den_r)
+        g = zpoly_gcd(self.num, self.den)
+        num, den = zpoly_divexact(self.num, g), zpoly_divexact(self.den, g)
+        c = gcd(*num, *den)
+        if den[0] < 0:
+            c = -c
+        return tuple(x // c for x in num), tuple(x // c for x in den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num)!r}, {list(self.den)!r})"
@@ -326,55 +351,3 @@ class RationalFunction:
         if self.den == (1,):
             return zpoly_str(self.num)
         return f"({zpoly_str(self.num)})/({zpoly_str(self.den)})"
-
-
-# -- helpers for exact univariate gcd over the rationals --------------------
-
-def _qpoly_trim(a: list[Fraction]) -> list[Fraction]:
-    n = len(a)
-    while n > 1 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _qpoly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        a = _qpoly_trim(a)
-        if len(a) - 1 < db:
-            break
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a = _qpoly_trim(a)
-        if len(a) == 1 and a[0] == 0:
-            break
-    return _qpoly_trim(a)
-
-
-def _qpoly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _qpoly_trim(list(a))
-    b = _qpoly_trim(list(b))
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _qpoly_mod(a, b)
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def _qpoly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        q = a[k + db] / lb
-        out[k] = q
-        for i, c in enumerate(b):
-            a[k + i] -= q * c
-    if any(c != 0 for c in a):
-        raise ArithmeticError("inexact polynomial division")
-    return _qpoly_trim(out)
-
-

@@ -16,7 +16,6 @@ from su2rep.assembly import (
     e_hilbert,
     equivariant_series_closed,
     equivariant_series_structural,
-    fundamental_class,
     ih_series_structural,
     ip_series_closed,
     pairing_matrix,
@@ -25,7 +24,7 @@ from su2rep.assembly import (
     top_identity_check,
 )
 from su2rep.exterior import invariant_truncated_dimensions
-from su2rep.graded import ALPHA, BETA, GAMMA, Poly
+from su2rep.graded import ALPHA, BETA, GAMMA, Poly, expand_abxi_monomial
 from su2rep.series import RationalFunction, TruncatedSeries, series_div
 
 
@@ -258,6 +257,13 @@ def test_e_basis_independence_guard():
 
 
 # -- fundamental class, top identity, pairing -------------------------------------
+
+def fundamental_class(g):
+    """alpha^{g-2} beta^{g-2} xi / ((g-2)! (-4)^{g-1}), degree 6g-6."""
+    assembly._require_genus(g)
+    scale = Fraction(1, factorial(g - 2) * (-4) ** (g - 1))
+    return scale * expand_abxi_monomial(g - 2, g - 2, 1)
+
 
 def test_fundamental_class_values():
     assert fundamental_class(2) == (

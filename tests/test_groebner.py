@@ -15,6 +15,7 @@ from su2rep.graded import (
     monomial_degree,
     monomial_divides,
     monomial_key,
+    monomial_lcm,
 )
 from su2rep.groebner import (
     CACHE_ENV_VAR,
@@ -22,7 +23,6 @@ from su2rep.groebner import (
     MonomialIdeal,
     RING_DENOMINATOR,
     _pivot_numerator,
-    _subset_numerator,
     buchberger,
     hilbert_series_quotient,
     ideal_generators,
@@ -193,6 +193,26 @@ def test_standard_monomial_counts_match_series(k):
     counts = standard_monomial_dimensions(lt, 24)
     series = hilbert_series_quotient(lt).expand(24)
     assert counts == [int(c) for c in series.coeffs]
+
+
+def _subset_numerator(gens):
+    """Numerator coefficients from the literal subset sum; exponential in len(gens).
+
+    The reference for `_pivot_numerator`: sum over generator subsets S of
+    (-1)^|S| t^(deg lcm S), zero coefficients dropped.
+    """
+    coeffs = {}
+
+    def visit(idx, lcm, sign):
+        if idx == len(gens):
+            d = monomial_degree(lcm)
+            coeffs[d] = coeffs.get(d, 0) + sign
+            return
+        visit(idx + 1, lcm, sign)
+        visit(idx + 1, monomial_lcm(lcm, gens[idx]), -sign)
+
+    visit(0, (0, 0, 0), 1)
+    return {d: c for d, c in coeffs.items() if c}
 
 
 small_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))

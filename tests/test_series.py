@@ -9,10 +9,14 @@ from su2rep.series import (
     TruncatedSeries,
     series_div,
     zpoly_add,
+    zpoly_divexact,
+    zpoly_gcd,
     zpoly_mul,
     zpoly_pow,
+    zpoly_scale,
     zpoly_shift,
     zpoly_str,
+    zpoly_sub,
     zpoly_trim,
 )
 
@@ -22,7 +26,8 @@ from su2rep.series import (
 def test_zpoly_trim():
     assert zpoly_trim([0, 0, 0]) == (0,)
     assert zpoly_trim([1, 2, 0]) == (1, 2)
-    assert zpoly_trim([]) == ()
+    assert zpoly_trim([]) == (0,)
+    assert zpoly_trim(()) == (0,)
 
 
 def test_zpoly_mul_binomial():
@@ -35,6 +40,67 @@ def test_zpoly_shift_and_str():
     assert zpoly_shift((1, 1), 2) == (0, 0, 1, 1)
     assert zpoly_str((1, 0, -3, 1)) == "1 - 3*t^2 + t^3"
     assert zpoly_str((0,)) == "0"
+
+
+def test_zpoly_divexact():
+    assert zpoly_divexact((1, 2, 1), (1, 1)) == (1, 1)
+    assert zpoly_divexact((-6, 0, 6), (2, -2)) == (-3, -3)
+    assert zpoly_divexact((0,), (1, 1)) == (0,)
+    assert zpoly_divexact((4, 6), (2,)) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((1, 0, 1), (1, 1)),  # remainder 2
+        ((1, 1), (1, 2)),  # divisible over Q only by a non-integer quotient
+        ((3,), (2,)),
+        ((1,), (1, 1)),  # numerator of lower degree
+        ((1, 1), (0,)),  # division by zero
+    ],
+)
+def test_zpoly_divexact_rejects_inexact(a, b):
+    with pytest.raises(ArithmeticError):
+        zpoly_divexact(a, b)
+
+
+def test_zpoly_gcd():
+    # gcd((1-t)(1+t)^2, 2(1+t)(1+t^2)) = 1+t, primitive with positive lead
+    assert zpoly_gcd(zpoly_mul((1, -1), (1, 2, 1)), (2, 2, 2, 2)) == (1, 1)
+    assert zpoly_gcd((4, -4), (-6, 6)) == (-1, 1)
+    assert zpoly_gcd((3,), (1, 1)) == (1,)
+    assert zpoly_gcd((0,), (2, 4)) == (1, 2)
+    assert zpoly_gcd((0,), (0,)) == (0,)
+
+
+def _is_normal_zpoly(p):
+    return (
+        type(p) is tuple
+        and len(p) > 0
+        and all(type(c) is int for c in p)
+        and (p == (0,) or p[-1] != 0)
+    )
+
+
+small_zpolys = st.lists(st.integers(-9, 9), max_size=6)
+
+
+@given(small_zpolys, small_zpolys, st.integers(-3, 3), st.integers(0, 3))
+def test_zpoly_results_are_trimmed_nonempty_tuples(a, b, c, n):
+    results = [
+        zpoly_trim(a),
+        zpoly_add(a, b),
+        zpoly_sub(a, b),
+        zpoly_scale(c, a),
+        zpoly_mul(a, b),
+        zpoly_pow(a, n),
+        zpoly_shift(a, n),
+        zpoly_gcd(a, b),
+    ]
+    if any(b):
+        results.append(zpoly_divexact(zpoly_mul(a, b), b))
+    for p in results:
+        assert _is_normal_zpoly(p), p
 
 
 @given(
@@ -164,6 +230,13 @@ def test_reduced_cancels_common_factor():
 def test_zero_constant_denominator_rejected():
     with pytest.raises(ValueError):
         RationalFunction((1,), (0, 1))
+    with pytest.raises(ValueError):
+        RationalFunction((1,), ())
+
+
+def test_zero_function_reduces_to_zero_over_one():
+    assert RationalFunction((0,), (1, 0, -1)).reduced_pair() == ((0,), (1,))
+    assert RationalFunction((), (-3, 6)).reduced_pair() == ((0,), (1,))
 
 
 zpolys = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
