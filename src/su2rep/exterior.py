@@ -1,10 +1,11 @@
 """Brute-force oracles in finite-dimensional anticommutative algebras.
 
-One sparse class, `ExtElement`, models both algebras, over the rationals
-with exact arithmetic; integer coefficients stay `int`, anything else
-becomes a `Fraction`.  A term is keyed by (strictly increasing index tuple,
-u-exponent): anticommuting generators indexed by integers, times a power of
-an optional central even variable u.
+One sparse class, `ExtElement`, models both algebras, with integer
+coefficients.  A term is keyed by (index bitmask, u-exponent), index i at
+bit i-1: a product of distinct anticommuting generators in increasing
+order, times a power of an optional central even variable u.  Two basis
+monomials multiply to zero when their masks meet; otherwise the key of the
+product is the union, and its sign counts the generator pairs out of order.
 
 * With no u (`truncation=None`, every exponent 0) it is the exterior algebra
   on psi_1 .. psi_{2g} (each of cohomological degree 3 in the intended use).
@@ -24,42 +25,34 @@ an optional central even variable u.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .linalg import exact_rank
 
-Subset = tuple[int, ...]
-Key = tuple[Subset, int]
-Coeff = int | Fraction
+Key = tuple[int, int]
 
 BRUTEFORCE_PRIM_CAP = 5
 RESTRICTION_CAP = 3
 
 
-def _merge_sign(a: Subset, b: Subset) -> tuple[Subset, int]:
-    """Concatenate two sorted index tuples; sign counts the transpositions.
+def mask(indices: Iterable[int]) -> int:
+    """Bitmask of a set of generator indices, index i at bit i-1."""
+    return sum(1 << (i - 1) for i in set(indices))
 
-    Returns (sorted merge, 0) when the tuples share an index.
+
+def _sign(a: int, b: int) -> int:
+    """(-1)^#{(i, j) : i in a, j in b, i > j}.
+
+    For disjoint masks, psi_a psi_b = _sign(a, b) psi_(a|b).
     """
-    if set(a) & set(b):
-        return (), 0
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            inversions += len(a) - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), (-1) ** inversions
+    n = 0
+    while b:
+        low = b & -b
+        n += (a >> low.bit_length()).bit_count()
+        b ^= low
+    return -1 if n & 1 else 1
 
 
 class ExtElement:
@@ -73,25 +66,11 @@ class ExtElement:
 
     __slots__ = ("terms", "truncation")
 
-    def __init__(
-        self, terms: Mapping[Key, Coeff] | Iterable = (), truncation: int | None = None
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict[Key, int], truncation: int | None = None):
+        if any(e < 0 for _, e in terms):
+            raise ValueError("negative u-exponent")
         top = 0 if truncation is None else truncation
-        clean: dict[Key, Coeff] = {}
-        for (s, e), c in items:
-            c = c if isinstance(c, int) else Fraction(c)
-            if not c or e > top:
-                continue
-            if e < 0:
-                raise ValueError("negative u-exponent")
-            s = tuple(s)
-            if list(s) != sorted(set(s)):
-                raise ValueError(f"index set {s} must be strictly increasing")
-            key = (s, e)
-            clean[key] = clean.get(key, 0) + c
-            if not clean[key]:
-                del clean[key]
+        clean = {k: c for k, c in terms.items() if c and k[1] <= top}
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "truncation", truncation)
 
@@ -100,11 +79,11 @@ class ExtElement:
 
     @classmethod
     def generator(cls, i: int) -> ExtElement:
-        return cls({((i,), 0): 1})
+        return cls({(mask((i,)), 0): 1})
 
     @classmethod
-    def scalar(cls, c, truncation: int | None = None) -> ExtElement:
-        return cls({((), 0): c}, truncation)
+    def scalar(cls, c: int, truncation: int | None = None) -> ExtElement:
+        return cls({(0, 0): c}, truncation)
 
     def _check(self, other: ExtElement) -> None:
         if self.truncation != other.truncation:
@@ -117,11 +96,7 @@ class ExtElement:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return ExtElement(out, self.truncation)
 
     def __neg__(self) -> ExtElement:
@@ -130,30 +105,22 @@ class ExtElement:
     def __sub__(self, other: ExtElement) -> ExtElement:
         return self + (-other)
 
-    def __rmul__(self, c) -> ExtElement:
+    def __rmul__(self, c: int) -> ExtElement:
         if isinstance(c, ExtElement):
             return NotImplemented
-        c = c if isinstance(c, int) else Fraction(c)
         return ExtElement({k: c * x for k, x in self.terms.items()}, self.truncation)
 
     def __mul__(self, other: ExtElement) -> ExtElement:
         self._check(other)
         top = 0 if self.truncation is None else self.truncation
-        out: dict[Key, Coeff] = {}
+        out: dict[Key, int] = {}
         for (s1, e1), c1 in self.terms.items():
             for (s2, e2), c2 in other.terms.items():
                 e = e1 + e2
-                if e > top:
+                if s1 & s2 or e > top:
                     continue
-                merged, sign = _merge_sign(s1, s2)
-                if sign == 0:
-                    continue
-                key = (merged, e)
-                v = out.get(key, 0) + sign * c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+                key = (s1 | s2, e)
+                out[key] = out.get(key, 0) + _sign(s1, s2) * c1 * c2
         return ExtElement(out, self.truncation)
 
     def __pow__(self, n: int) -> ExtElement:
@@ -172,10 +139,6 @@ class ExtElement:
     def __hash__(self):
         return hash((self.truncation, frozenset(self.terms.items())))
 
-    def is_invariant(self) -> bool:
-        """Fixed by the involution on generators and u: x -> -x."""
-        return all((len(s) + e) % 2 == 0 for s, e in self.terms)
-
     def __repr__(self) -> str:
         return f"ExtElement({self.terms!r}, truncation={self.truncation!r})"
 
@@ -184,7 +147,7 @@ def gamma_element(g: int) -> ExtElement:
     """-2 sum_{i=1..g} psi_i psi_{i+g}, homogeneous of exterior degree 2."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    return ExtElement({((i, i + g), 0): -2 for i in range(1, g + 1)})
+    return ExtElement({(mask((i, i + g)), 0): -2 for i in range(1, g + 1)})
 
 
 def prim_dimension_formula(g: int, l: int) -> int:
@@ -204,7 +167,7 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
     power = g - l + 1
     gamma_pow = gamma_element(g) ** power
     domain = list(combinations(range(1, n + 1), l))
-    rows = [(ExtElement({(s, 0): 1}) * gamma_pow).terms for s in domain]
+    rows = [(ExtElement({(mask(s), 0): 1}) * gamma_pow).terms for s in domain]
     return len(domain) - exact_rank(rows)
 
 
@@ -217,9 +180,9 @@ def _jac_generators(g: int, U: int) -> tuple[ExtElement, ExtElement, list[ExtEle
 
     Every index lies in 1..2g, the generators of the genus-g model.
     """
-    w = ExtElement({((i, i + g), 0): -2 for i in range(1, g + 1)}, U)
-    four_u2 = ExtElement({((), 2): 4}, U)
-    psis = [ExtElement({((i,), 1): -2}, U) for i in range(1, 2 * g + 1)]
+    w = ExtElement(gamma_element(g).terms, U)
+    four_u2 = ExtElement({(0, 2): 4}, U)
+    psis = [ExtElement({(mask((i,)), 1): -2}, U) for i in range(1, 2 * g + 1)]
     return w, four_u2, psis
 
 
@@ -255,10 +218,11 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
                 size = rem // 3
                 if size > 2 * g:
                     continue
-                for s in combinations(range(len(psis)), size):
-                    v = (w ** a) * (four_u2 ** b)
-                    for idx in s:
-                        v = v * psis[idx]
+                base = (w ** a) * (four_u2 ** b)
+                for s in combinations(psis, size):
+                    v = base
+                    for psi in s:
+                        v = v * psi
                     rows.append(v.terms)
         projected = [{k: c for k, c in r.items() if k[1] < g - 1} for r in rows]
         result[degree] = exact_rank(rows) - exact_rank(projected)

@@ -22,7 +22,6 @@ from .series import monomial_str, signed_sum
 
 Monomial = tuple[int, int, int]
 
-WEIGHTS = (2, 4, 6)
 VARIABLE_NAMES = ("alpha", "beta", "gamma")
 LATEX_NAMES = (r"\alpha", r"\beta", r"\gamma")
 
@@ -62,13 +61,16 @@ class Poly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Fraction] = {}
         for m, c in items:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 m = (int(m[0]), int(m[1]), int(m[2]))
                 if min(m) < 0:
                     raise ValueError(f"negative exponent in monomial {m}")
-                clean[m] = clean.get(m, Fraction(0)) + c
-                if not clean[m]:
+                c = clean[m] + c if m in clean else c
+                if c:
+                    clean[m] = c
+                else:
                     del clean[m]
         object.__setattr__(self, "terms", clean)
 
@@ -108,9 +110,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {monomial_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, d: int) -> Poly:
-        return Poly({m: c for m, c in self.terms.items() if monomial_degree(m) == d})
 
     def monic(self) -> Poly:
         if not self.terms:

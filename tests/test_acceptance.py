@@ -244,6 +244,6 @@ def test_prim_bruteforce_g7_uncapped(capsys, monkeypatch):
         capsys,
         11,
         "brute-force primitive kernels match the formula at g=7, past the cap",
-        5.0,
+        2.0,
         body,
     )

@@ -8,6 +8,7 @@ from su2rep.exterior import (
     ExtElement,
     gamma_element,
     invariant_truncated_dimensions,
+    mask,
     prim_dimension_bruteforce,
     prim_dimension_formula,
     reliable_degree_window,
@@ -107,14 +108,28 @@ def test_generators_anticommute_and_square_to_zero():
     a, b = psi(1), psi(2)
     assert a * b == -(b * a)
     assert (a * a).is_zero()
-    assert (a * b).terms == {((1, 2), 0): Fraction(1)}
-    assert (b * a).terms == {((1, 2), 0): Fraction(-1)}
+    assert (a * b).terms == {(mask((1, 2)), 0): 1}
+    assert (b * a).terms == {(mask((1, 2)), 0): -1}
 
 
-def test_merge_sign_matches_transposition_count():
-    # psi_2 psi_4 psi_1 psi_3 needs three adjacent swaps to sort
-    p = psi(2) * psi(4) * psi(1) * psi(3)
-    assert p.terms == {((1, 2, 3, 4), 0): Fraction(-1)}
+def build(idxs):
+    e = ExtElement.scalar(1)
+    for i in idxs:
+        e = e * psi(i)
+    return e
+
+
+@given(st.lists(st.integers(1, 6), max_size=6))
+def test_merge_sign_matches_transposition_count(idxs):
+    # the oracle counts the inversions of the index list directly
+    p = build(idxs)
+    if len(set(idxs)) < len(idxs):
+        assert p.is_zero()
+    else:
+        inversions = sum(
+            1 for x in range(len(idxs)) for y in range(x + 1, len(idxs)) if idxs[x] > idxs[y]
+        )
+        assert p.terms == {(mask(idxs), 0): (-1) ** inversions}
 
 
 @given(
@@ -122,20 +137,14 @@ def test_merge_sign_matches_transposition_count():
     st.lists(st.integers(1, 6), min_size=0, max_size=4),
 )
 def test_product_of_generator_strings_associates(idx1, idx2):
-    def build(idxs):
-        e = ExtElement.scalar(1)
-        for i in idxs:
-            e = e * psi(i)
-        return e
-
     assert build(idx1) * build(idx2) == build(idx1 + idx2)
 
 
 def test_gamma_element_values():
     g2 = gamma_element(2)
-    assert g2.terms == {((1, 3), 0): Fraction(-2), ((2, 4), 0): Fraction(-2)}
+    assert g2.terms == {(mask((1, 3)), 0): -2, (mask((2, 4)), 0): -2}
     # expanding the square picks up one transposition per cross term
-    assert (g2 ** 2).terms == {((1, 2, 3, 4), 0): Fraction(-8)}
+    assert (g2 ** 2).terms == {(mask((1, 2, 3, 4)), 0): -8}
     assert (g2 ** 3).is_zero()
     assert (gamma_element(3) ** 4).is_zero()
     with pytest.raises(ValueError):
@@ -148,24 +157,20 @@ def test_gamma_powers_keep_int_coefficients(g):
         assert all(type(c) is int for c in (gamma_element(g) ** p).terms.values())
 
 
-def _ext(terms, as_fraction):
-    return ExtElement({k: Fraction(c) if as_fraction else c for k, c in terms.items()})
+ext_elements = st.dictionaries(
+    st.tuples(st.integers(0, 2 ** 5 - 1), st.just(0)), st.integers(-5, 5), max_size=4
+).map(ExtElement)
 
 
-subsets = st.sets(st.integers(1, 5), max_size=3).map(lambda s: tuple(sorted(s)))
-ext_terms = st.dictionaries(st.tuples(subsets, st.just(0)), st.integers(-5, 5), max_size=4)
-
-
-@given(ext_terms, ext_terms, st.integers(-3, 3), st.integers(0, 3))
-def test_int_and_fraction_coefficients_agree(a, b, c, n):
-    xi, yi = _ext(a, False), _ext(b, False)
-    xf, yf = _ext(a, True), _ext(b, True)
-    assert xi == xf and yi == yf
-    assert xi + yi == xf + yf
-    assert xi * yi == xf * yf
-    assert xi ** n == xf ** n
-    assert c * xi == Fraction(c) * xf == c * xf
-    assert all(type(v) is int for v in (xi * yi + c * xi ** n).terms.values())
+@given(ext_elements, ext_elements, ext_elements, st.integers(-3, 3), st.integers(0, 3))
+def test_int_coefficients_satisfy_ring_laws(x, y, z, c, n):
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert (x * y) * z == x * (y * z)
+    assert c * (x * y) == (c * x) * y == x * (c * y)
+    assert c * (x + y) == c * x + c * y
+    assert x ** (n + 1) == x * x ** n
+    assert all(type(v) is int for v in (x * y + c * x ** n - z).terms.values())
 
 
 def test_prim_dimensions_bruteforce_small_genus():
@@ -200,37 +205,26 @@ def test_lefschetz_dimension_identity(g):
 # -- truncated Jacobian model ---------------------------------------------------
 
 def test_jac_u_is_central_and_truncation_drops_overflow():
-    u = ExtElement({((), 1): Fraction(1)}, truncation=3)
-    d1 = ExtElement({((1,), 0): Fraction(1)}, truncation=3)
+    u = ExtElement({(0, 1): 1}, truncation=3)
+    d1 = ExtElement({(mask((1,)), 0): 1}, truncation=3)
     assert u * d1 == d1 * u
     assert (u ** 4).is_zero()
     assert not (u ** 3).is_zero()
 
 
-def test_jac_invariance_parity():
-    inv = ExtElement({((1, 2), 0): 1, ((1,), 1): 2, ((), 4): 3}, truncation=5)
-    assert inv.is_invariant()
-    assert not ExtElement({((1,), 0): 1}, truncation=5).is_invariant()
-    assert not ExtElement({((), 1): 1}, truncation=5).is_invariant()
-
-
 def test_jac_model_mixing_rejected():
-    a = ExtElement({((), 0): 1}, truncation=3)
-    b = ExtElement({((), 0): 1}, truncation=4)
+    a = ExtElement({(0, 0): 1}, truncation=3)
+    b = ExtElement({(0, 0): 1}, truncation=4)
     with pytest.raises(ValueError):
         a * b
 
 
 def test_ext_element_rejects_malformed_terms():
     with pytest.raises(ValueError):
-        ExtElement({((2, 1), 0): 1})
-    with pytest.raises(ValueError):
-        ExtElement({((1, 1), 0): 1})
-    with pytest.raises(ValueError):
-        ExtElement({((1,), -1): 1}, truncation=3)
+        ExtElement({(mask((1,)), -1): 1}, truncation=3)
     # the u-free exterior algebra and a u-truncated model do not mix
     with pytest.raises(ValueError):
-        ExtElement.generator(1) * ExtElement({((1,), 0): 1}, truncation=3)
+        ExtElement.generator(1) * ExtElement({(mask((1,)), 0): 1}, truncation=3)
 
 
 def test_restriction_dimensions_g2():

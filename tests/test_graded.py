@@ -69,9 +69,16 @@ def test_degree_and_homogeneity():
     assert Poly().degree() == float("-inf")
     assert (ALPHA * BETA + 2 * GAMMA).is_homogeneous()
     assert not (ALPHA + BETA).is_homogeneous()
-    p = ALPHA ** 2 + BETA
-    assert p.homogeneous_part(4) == p
-    assert p.homogeneous_part(2).is_zero()
+
+
+def test_poly_keeps_fraction_coefficients_and_converts_ints():
+    c = Fraction(3, 7)
+    p = Poly({(1, 0, 0): c, (0, 1, 0): 2})
+    assert p.terms[1, 0, 0] is c
+    assert type(p.terms[0, 1, 0]) is Fraction
+    # repeated monomials still combine, and cancel to nothing
+    assert Poly([((1, 0, 0), c), ((1, 0, 0), 1)]).terms == {(1, 0, 0): Fraction(10, 7)}
+    assert Poly([((1, 0, 0), c), ((1, 0, 0), -c)]).is_zero()
 
 
 def test_render_and_parse_roundtrip_examples():
