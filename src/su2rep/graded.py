@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .series import monomial_str, signed_sum
 
@@ -57,8 +57,8 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict[Monomial, Fraction] | Iterable = ()):
+        items = terms.items() if isinstance(terms, dict) else terms
         clean: dict[Monomial, Fraction] = {}
         for m, c in items:
             if type(c) is not Fraction:
@@ -73,6 +73,13 @@ class Poly:
                 else:
                     del clean[m]
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def from_valid(cls, terms: dict[Monomial, Fraction]) -> Poly:
+        """A Poly owning terms, known to map valid monomials to nonzero Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -89,9 +96,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -111,12 +115,6 @@ class Poly:
         degs = {monomial_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def monic(self) -> Poly:
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient()
-        return Poly({m: c / lc for m, c in self.terms.items()})
-
     def __add__(self, other: Poly) -> Poly:
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -125,13 +123,13 @@ class Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Poly(out)
+        return Poly.from_valid(out)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly.from_valid({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Poly) -> Poly:
         out: dict[Monomial, Fraction] = {}
@@ -143,13 +141,13 @@ class Poly:
                     out[m] = s
                 else:
                     del out[m]
-        return Poly(out)
+        return Poly.from_valid(out)
 
     def __rmul__(self, c) -> Poly:
         if isinstance(c, Poly):
             return NotImplemented
-        c = Fraction(c)
-        return Poly({m: c * x for m, x in self.terms.items()})
+        c = c if type(c) is Fraction else Fraction(c)
+        return Poly.from_valid({m: c * x for m, x in self.terms.items()} if c else {})
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -163,10 +161,6 @@ class Poly:
             if n:
                 base = base * base
         return result
-
-    def term_scaled(self, m: Monomial, c: Fraction) -> Poly:
-        """self * c * (monomial m), without building an intermediate Poly."""
-        return Poly({monomial_mul(m0, m): c0 * c for m0, c0 in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -6,6 +6,11 @@ order from `graded.monomial_key` (weighted degree, then lex with
 alpha > beta > gamma); a graded order is required so that the leading-term
 ideal has the same Hilbert series as the ideal itself.
 
+`buchberger` and `normal_form` reduce fraction-free over Z, as Bareiss
+eliminates: a polynomial is a dict from keys (2i + 4j + 6k, i, j, k), whose
+tuple order is the monomial order, to ints.  Rationals appear only where a
+`Poly` enters (denominators cleared) and leaves (monic, or the exact remainder).
+
 Reduced bases serialize to a plain text form (one generator per line in
 canonical rendering), which backs an optional on-disk cache keyed by k.
 The cache is purely an optimization: parsing a cached file reproduces the
@@ -18,6 +23,7 @@ import heapq
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,7 +34,6 @@ from .graded import (
     monomial_divides,
     monomial_key,
     monomial_lcm,
-    monomial_mul,
     monomial_quotient,
     mumford_c,
     parse_poly,
@@ -37,6 +42,10 @@ from .graded import (
 from .series import RationalFunction, zpoly_mul
 
 CACHE_ENV_VAR = "SU2REP_GROEBNER_CACHE"
+
+Key = tuple[int, int, int, int]
+# (leading key, leading coefficient, all terms) of a primitive polynomial over Z
+Reducer = tuple[Key, int, list[tuple[Key, int]]]
 
 
 class GroebnerBasis(NamedTuple):
@@ -67,135 +76,149 @@ def ideal_generators(k: int) -> list[Poly]:
     return [mumford_c(k + 1), mumford_c(k + 2), mumford_c(k + 3)]
 
 
-def s_polynomial(f: Poly, g: Poly) -> Poly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = monomial_lcm(lf, lg)
-    return f.term_scaled(
-        monomial_quotient(l, lf), 1 / f.leading_coefficient()
-    ) - g.term_scaled(monomial_quotient(l, lg), 1 / g.leading_coefficient())
+def _to_z(p: Poly) -> tuple[dict[Key, int], int]:
+    """p times the lcm of its denominators, on degree-first keys, and that lcm."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {
+        (2 * i + 4 * j + 6 * k, i, j, k): c.numerator * (den // c.denominator)
+        for (i, j, k), c in p.terms.items()
+    }, den
 
 
-def _reduce(p: Poly, reducers: Sequence[tuple[Monomial, Fraction, Poly]]) -> Poly:
-    """Full multivariate division remainder of p by the given reducers.
+def _to_poly(f: dict[Key, int], den: int) -> Poly:
+    return Poly.from_valid({m[1:]: Fraction(c, den) for m, c in f.items()})
 
-    Each reducer is (leading monomial, leading coefficient, polynomial).
-    No monomial of the result is divisible by any reducer's leading monomial.
+
+def _reducer(f: dict[Key, int]) -> Reducer:
+    g = gcd(*f.values())
+    lm = max(f)
+    return lm, f[lm] // g, [(m, c // g) for m, c in f.items()]
+
+
+def _add_multiple(f: dict[Key, int], a: int, l: Key, lm: Key, terms) -> None:
+    """f += a * (l/lm) * terms in place, dropping the keys that cancel."""
+    q0, q1, q2, q3 = l[0] - lm[0], l[1] - lm[1], l[2] - lm[2], l[3] - lm[3]
+    for (e0, e1, e2, e3), x in terms:
+        n = (e0 + q0, e1 + q1, e2 + q2, e3 + q3)
+        v = f.get(n, 0) + a * x
+        if v:
+            f[n] = v
+        else:
+            del f[n]
+
+
+def _reduce(work: dict[Key, int], reducers: Sequence[Reducer]) -> tuple[dict[Key, int], int]:
+    """Fraction-free full division remainder (r, scale) of work by the reducers.
+
+    scale * work - r lies in the reducers' ideal, and no key of r is divisible
+    by a leading key.  The first reducer g = lc*lm + ... with lm | m, for the
+    leading term c*m, sets work <- a*work - b*(m/lm)*g, where a = lc/h, b = c/h,
+    h = gcd(c, lc); the remainder so far is multiplied by a too.  Consumes work.
     """
-    work = dict(p.terms)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Key, int] = {}
+    scale = 1
     while work:
-        m = max(work, key=monomial_key)
-        c = work.pop(m)
-        for lm, lc, g in reducers:
-            if monomial_divides(lm, m):
-                q = monomial_quotient(m, lm)
-                factor = c / lc
-                for mg, cg in g.terms.items():
-                    if mg == lm:
-                        continue
-                    mm = monomial_mul(mg, q)
-                    s = work.get(mm, Fraction(0)) - factor * cg
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
+        m = max(work)
+        c = work[m]
+        for lm, lc, terms in reducers:
+            if lm[1] <= m[1] and lm[2] <= m[2] and lm[3] <= m[3]:
+                h = gcd(c, lc)
+                a = lc // h
+                if a != 1:
+                    scale *= a
+                    work = {n: a * x for n, x in work.items()}
+                    remainder = {n: a * x for n, x in remainder.items()}
+                _add_multiple(work, -(c // h), m, lm, terms)
                 break
         else:
-            remainder[m] = c
-    return Poly(remainder)
+            remainder[m] = work.pop(m)
+    return remainder, scale
 
 
-def _reducers(gens: Iterable[Poly]) -> list[tuple[Monomial, Fraction, Poly]]:
-    return [
-        (g.leading_monomial(), g.leading_coefficient(), g)
-        for g in gens
-        if not g.is_zero()
-    ]
+# the generators normal_form last converted, and their reducers: one basis serves many p
+_converted: tuple[tuple[Poly, ...], list[Reducer]] = ((), [])
 
 
 def normal_form(p: Poly, basis: GroebnerBasis | Sequence[Poly]) -> Poly:
     """Unique remainder of p modulo the ideal presented by a reduced basis."""
-    gens = basis.generators if isinstance(basis, GroebnerBasis) else basis
-    return _reduce(p, _reducers(gens))
+    global _converted
+    gens = basis.generators if isinstance(basis, GroebnerBasis) else tuple(basis)
+    cached, reducers = _converted
+    if cached is not gens:
+        reducers = [_reducer(_to_z(g)[0]) for g in gens if not g.is_zero()]
+        _converted = gens, reducers
+    work, den = _to_z(p)
+    r, scale = _reduce(work, reducers)
+    return _to_poly(r, den * scale)
 
 
 def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBasis:
     """Unique reduced monic Groebner basis of the ideal generated by gens.
 
-    Normal pair-selection strategy: a heap hands out the pending pair with
-    the smallest lcm of leading monomials, ties broken by index.  Two
-    criteria skip pairs whose S-polynomial needs no reduction:
+    Works over Z on primitive generators and converts to monic `Poly`s only
+    at the end.  Normal pair-selection strategy: a heap hands out the
+    pending pair with the smallest lcm of leading monomials, ties broken by
+    index.  Two criteria skip pairs whose S-polynomial needs no reduction:
     - coprime leading monomials (Buchberger's first criterion);
     - the chain criterion (Buchberger's second criterion, as in
       Gebauer-Moeller 1988): skip (i, j) when some other generator k has
       lm_k | lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is pending.
     """
-    basis = [g.monic() for g in gens if not g.is_zero()]
+    basis = [_reducer(_to_z(g)[0]) for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    reducers = _reducers(basis)
-    lms = [lm for lm, _, _ in reducers]
-    heap: list[tuple[tuple[int, int, int, int], tuple[int, int]]] = []
+    heap: list[tuple[Key, tuple[int, int]]] = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
         for i in range(j):
-            heapq.heappush(heap, (monomial_key(monomial_lcm(lms[i], lms[j])), (i, j)))
+            l1, l2, l3 = map(max, basis[i][0][1:], basis[j][0][1:])
+            heapq.heappush(heap, ((2 * l1 + 4 * l2 + 6 * l3, l1, l2, l3), (i, j)))
             pending.add((i, j))
 
     for j in range(1, len(basis)):
         push_pairs(j)
     while heap:
-        _, (i, j) = heapq.heappop(heap)
+        l, (i, j) = heapq.heappop(heap)
         pending.remove((i, j))
-        lmi, lmj = lms[i], lms[j]
-        lcm = monomial_lcm(lmi, lmj)
-        if lcm == monomial_mul(lmi, lmj):
+        (lmf, lcf, f), (lmg, lcg, g) = basis[i], basis[j]
+        # coprime exactly when the lcm is the product, i.e. the degrees add
+        if l[0] == lmf[0] + lmg[0]:
             continue
         if any(
-            k != i
-            and k != j
-            and monomial_divides(lmk, lcm)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, lmk in enumerate(lms)
+            n != i
+            and n != j
+            and lm[1] <= l[1] and lm[2] <= l[2] and lm[3] <= l[3]
+            and (min(i, n), max(i, n)) not in pending
+            and (min(j, n), max(j, n)) not in pending
+            for n, (lm, _, _) in enumerate(basis)
         ):
             continue
-        s = _reduce(s_polynomial(basis[i], basis[j]), reducers)
-        if s.is_zero():
-            continue
-        s = s.monic()
-        lm = s.leading_monomial()
-        basis.append(s)
-        lms.append(lm)
-        reducers.append((lm, s.terms[lm], s))
-        push_pairs(len(basis) - 1)
+        # (lc_g/h) (l/lm_f) f - (lc_f/h) (l/lm_g) g, with h = gcd(lc_f, lc_g)
+        h = gcd(lcf, lcg)
+        s: dict[Key, int] = {}
+        _add_multiple(s, lcg // h, l, lmf, f)
+        _add_multiple(s, -(lcf // h), l, lmg, g)
+        r, _ = _reduce(s, basis)
+        if r:
+            basis.append(_reducer(r))
+            push_pairs(len(basis) - 1)
 
     # minimalize: ascending leading monomials, drop any divisible by a kept one
-    basis.sort(key=lambda g: monomial_key(g.leading_monomial()))
-    kept: list[Poly] = []
-    kept_lms: list[Monomial] = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if not any(monomial_divides(k, lm) for k in kept_lms):
-            kept.append(g)
-            kept_lms.append(lm)
+    basis.sort(key=lambda f: f[0])
+    kept: list[Reducer] = []
+    for f in basis:
+        lm = f[0]
+        if not any(k[1] <= lm[1] and k[2] <= lm[2] and k[3] <= lm[3] for k, _, _ in kept):
+            kept.append(f)
 
-    # interreduce to the unique reduced basis; reducing a minimal basis never
-    # changes a leading monomial, so only the changed reducer is replaced
-    reducers = _reducers(kept)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            h = _reduce(kept[idx], reducers[:idx] + reducers[idx + 1 :]).monic()
-            if h != kept[idx]:
-                kept[idx] = h
-                lm = reducers[idx][0]
-                reducers[idx] = (lm, h.terms[lm], h)
-                changed = True
-    kept.sort(key=lambda g: monomial_key(g.leading_monomial()))
-    return GroebnerBasis(generators=tuple(kept), source_k=source_k)
+    # interreduce in one pass: reduction keeps a minimal basis's leading monomials,
+    # and a full remainder has no term another leading monomial divides
+    out = []
+    for idx, (lm, _, terms) in enumerate(kept):
+        r, _ = _reduce(dict(terms), kept[:idx] + kept[idx + 1 :])
+        out.append(_to_poly(r, r[lm]))
+    return GroebnerBasis(generators=tuple(out), source_k=source_k)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
         capsys,
         10,
         "reduced basis of I_12 computed with no cache or memo",
-        5.0,
+        1.0,
         body,
     )
 

@@ -166,6 +166,21 @@ def test_e_basis_m0_empty(capsys):
     assert doc["data"]["monomials"] == []
 
 
+def test_e_basis_past_cap_reports_skipped_check(capsys):
+    # the independence check is never dropped without a record
+    m = cli.E_INDEPENDENCE_CAP + 1
+    doc, _, code = run_json(capsys, "e-basis", "--m", str(m))
+    assert code == 0
+    assert doc["checks"] == [
+        {
+            "name": "e-basis-independence",
+            "genus": None,
+            "status": "skipped",
+            "details": f"m {m} exceeds cap {cli.E_INDEPENDENCE_CAP}",
+        }
+    ]
+
+
 # -- verify -----------------------------------------------------------------------
 
 EXPECTED_CHECKS = [

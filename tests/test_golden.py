@@ -6,8 +6,10 @@ the anticommutative algebra and the elimination were each folded into one
 implementation (the `CAP_GRID` digests: before the verify battery became one
 table; the genus-16 pairing digests: before the pairing path computed one
 value per degree and the JSON writer replaced `json.dumps`; the k=7 ring
-digests: before Hilbert series were reduced over Z[t]).  A refactor
-that changes a single output byte fails here.
+digests: before Hilbert series were reduced over Z[t]).  The text and json
+digests of `e-basis --m 5` and `--m 6` were taken again when the capped
+independence check began to report a skipped record instead of none.  A
+refactor that changes a single output byte fails here.
 
 To print the digest table for the current code (from the repository root):
 
@@ -170,11 +172,11 @@ GOLDEN: dict[str, str] = {
     "e-basis --m 4 --format text": "43329829052cd97a0721b957a39230c5251a93c08dcb9894312f6c0a648e0539",
     "e-basis --m 4 --format json": "35bf25e2cf5becd9cabd57a6e69e941b63a74bf0ad09b90852d316f3ccc25956",
     "e-basis --m 4 --format latex": "bcfd2fced42b3bf5fd8aea254ba3c1f64d301a4a6754d8d619afdc05486648c5",
-    "e-basis --m 5 --format text": "85dd45a53a1f7c1fcf15837f0969b130254ac91ec824bbb59ba9be59f46d0c7c",
-    "e-basis --m 5 --format json": "dd4b1992b79845d2666a3df4c6b1b9e62440895318e60722630f6948f79cc077",
+    "e-basis --m 5 --format text": "16d0c3b365a4cd5a45faa5befcdf0c717acf94917ab947668d31972123f1944e",
+    "e-basis --m 5 --format json": "aecc0931e395e89469825a2a2a74ac3b4d6a398ca13738793ba0b05e1824f451",
     "e-basis --m 5 --format latex": "fe748d4c8d3b5b63c027047e97e5a499826266ed4b898c306d20b4a7f90f4486",
-    "e-basis --m 6 --format text": "ecfb0c4ec7dde8407b18c03057359dba91f777b86514792d26612a2fa62b0536",
-    "e-basis --m 6 --format json": "e763d0cc024dd1a2b8e28134128a471d9cedd9fb3159aacde43e743dc09a9110",
+    "e-basis --m 6 --format text": "a6b070baeeba690d3b818f5089328e4ae76ecb34193304bb893e534f7cf24f59",
+    "e-basis --m 6 --format json": "9503dee7ab8d366a31749144acc8d10f6de7894fa22fd07c56e83a5338c7ce97",
     "e-basis --m 6 --format latex": "4f573852c1b1aef4220c6e67c983593f785cf3795beb57974b12e6c3b8eb114d",
     "verify --genus 3 --unsafe-genus-cap 2 --format text": "eba8cfb685b92a412f9cb1a5977b4579e8985029da5a5b127f1a99f235be5987",
     "verify --genus 3 --unsafe-genus-cap 2 --format json": "bf63272e3d500cc71ab239823564fd76f95eda3ab62e7a8ac34c740b5776a4e7",

@@ -16,6 +16,8 @@ from su2rep.graded import (
     monomial_divides,
     monomial_key,
     monomial_lcm,
+    monomial_mul,
+    monomial_quotient,
 )
 from su2rep.groebner import (
     CACHE_ENV_VAR,
@@ -31,7 +33,6 @@ from su2rep.groebner import (
     parse_basis,
     relation_ideal_basis,
     render_basis,
-    s_polynomial,
     standard_monomial_dimensions,
 )
 from su2rep.series import RationalFunction
@@ -82,6 +83,42 @@ def test_relation_bases_are_reduced_monic_sorted(k):
     assert keys == sorted(keys)
 
 
+def s_polynomial(f, g):
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    l = monomial_lcm(lf, lg)
+    return (1 / f.leading_coefficient()) * (
+        Poly({monomial_quotient(l, lf): 1}) * f
+    ) - (1 / g.leading_coefficient()) * (Poly({monomial_quotient(l, lg): 1}) * g)
+
+
+def reference_normal_form(p, basis):
+    """Full division remainder in Fraction arithmetic, the reference for the
+    fraction-free `normal_form`: each step subtracts (c/lc) q g exactly."""
+    reducers = [(g.leading_monomial(), g.leading_coefficient(), g) for g in basis]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=monomial_key)
+        c = work.pop(m)
+        for lm, lc, g in reducers:
+            if monomial_divides(lm, m):
+                q = monomial_quotient(m, lm)
+                factor = c / lc
+                for mg, cg in g.terms.items():
+                    if mg == lm:
+                        continue
+                    mm = monomial_mul(mg, q)
+                    s = work.get(mm, Fraction(0)) - factor * cg
+                    if s:
+                        work[mm] = s
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return Poly(remainder)
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_all_s_polynomials_reduce_to_zero(k):
     b = buchberger(ideal_generators(k))
@@ -109,6 +146,17 @@ def test_normal_form_examples():
         assert not any(monomial_divides(lm, m) for lm in b2.leading_monomials())
     assert (p - r) == (p - r)  # difference is well defined
     assert normal_form(p - r, b2).is_zero()
+
+
+def test_normal_form_follows_a_basis_list_that_changes():
+    # a basis given as a list is read afresh on every call, even the same list
+    b1, b2 = buchberger(ideal_generators(1)), buchberger(ideal_generators(2))
+    gens = list(b1.generators)
+    first = normal_form(ALPHA ** 3, gens)
+    gens[:] = b2.generators
+    second = normal_form(ALPHA ** 3, gens)
+    assert first == normal_form(ALPHA ** 3, b1) == Poly()
+    assert second == normal_form(ALPHA ** 3, b2) != first
 
 
 def _monomials_of_degree(d):
@@ -149,6 +197,34 @@ def test_normal_form_is_linear(p, q, c):
     assert normal_form(p + Fraction(c) * q, b) == normal_form(p, b) + Fraction(
         c
     ) * normal_form(q, b)
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def fractional_homogeneous_polys(draw, max_degree=30):
+    d = draw(st.sampled_from(range(2, max_degree + 1, 2)))
+    monos = _monomials_of_degree(d)
+    coeffs = draw(st.lists(small_fractions, min_size=len(monos), max_size=len(monos)))
+    return Poly(zip(monos, coeffs))
+
+
+# from I_5 on, some reduced generators cleared of denominators lead with a
+# coefficient other than 1, so the fraction-free steps must rescale
+@given(st.integers(0, 7), fractional_homogeneous_polys())
+@settings(max_examples=80, deadline=None)
+def test_normal_form_equals_fraction_reference(k, p):
+    b = relation_ideal_basis(k)
+    assert normal_form(p, b) == reference_normal_form(p, b.generators)
+
+
+@given(st.integers(0, 4), st.lists(small_fractions.filter(bool), min_size=3, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_buchberger_ignores_generator_scaling(k, scales):
+    gens = ideal_generators(k)
+    scaled = [c * g for c, g in zip(scales, gens)]
+    assert buchberger(scaled) == buchberger(gens)
 
 
 def test_monomial_ideal_antichain_enforced():
@@ -261,9 +337,10 @@ def test_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypatch):
 
 
 # sha256 of render_basis(buchberger(ideal_generators(k), source_k=k)), taken
-# from the Buchberger loop that selected pairs by a linear `min` and applied
-# no chain criterion.  The reduced monic basis is unique, so any correct
-# pair strategy must reproduce these bytes.
+# for k <= 10 from the Buchberger loop that selected pairs by a linear `min`
+# and applied no chain criterion, and for k = 12, 16 from the loop that
+# reduced in Fraction arithmetic.  The reduced monic basis is unique, so any
+# correct pair strategy or coefficient arithmetic must reproduce these bytes.
 BASIS_DIGESTS = {
     0: "0a9491dae978ee6b404157970b0d91e8425865529f394b31051fabd4fd61abad",
     1: "f1a4d84eb4eee98b1c410d4a144b65f48f90597a0c2c8162d657ce987f725aae",
@@ -276,6 +353,8 @@ BASIS_DIGESTS = {
     8: "2f9b012810f2bcc60239d8d45ec7223071b21e738632ecac982515212bcf15d6",
     9: "c83024de8bd4f298d0b865ef82ff70d7505d0626e7a9cee072dff69061cd301a",
     10: "61cebfcd2c5f12040bbdcd70a88bed1b4d168a2adcb99f0c7fc97d50a2e768ca",
+    12: "00437488dccedcc29ca3de83196609403326d5eb92f3f0f8f32307df9caa4078",
+    16: "bb5399f155aa4a050eee286c166042a2809d045bb0c59e1860e00aba761157ef",
 }
 
 
