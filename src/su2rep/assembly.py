@@ -22,9 +22,9 @@ which is re-verified by Groebner normal forms at small genus.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
-from typing import NamedTuple
+from math import comb, factorial, lcm
 
 from .exterior import prim_dimension_formula
 from .graded import Monomial, Poly, expand_abxi_monomial, render_poly
@@ -40,7 +40,6 @@ from .linalg import dependency_vector, exact_rank
 from .series import (
     RationalFunction,
     TruncatedSeries,
-    series_div,
     zpoly_add,
     zpoly_mul,
     zpoly_pow,
@@ -155,27 +154,32 @@ def ip_series_closed(g: int) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 def t_over_tanh_series(order: int) -> TruncatedSeries:
-    """Truncated series of t/tanh t = cosh t / (sinh t / t)."""
-    cosh = TruncatedSeries(
-        [Fraction(1, factorial(d)) if d % 2 == 0 else Fraction(0) for d in range(order + 1)]
-    )
-    sinh_over_t = TruncatedSeries(
-        [Fraction(1, factorial(d + 1)) if d % 2 == 0 else Fraction(0) for d in range(order + 1)]
-    )
-    return series_div(cosh, sinh_over_t)
+    """Truncated series of t/tanh t, by a recurrence over Z.
+
+    With t/tanh t = sum T_n t^n/n!, the t^{n+1}/(n+1)! coefficient of
+    (t/tanh t) sinh t = t cosh t gives
+      (n+1) T_n = (n+1) [n even] - sum_{p < n, n - p even} C(n+1, p) T_p.
+    T_{2k} = 4^k B_{2k}, so by von Staudt-Clausen D T_n is an integer for
+    D = lcm(1..order+1), and the recurrence runs on D T_n by exact division.
+    """
+    D = lcm(*range(1, order + 2))
+    u = [0] * (order + 1)
+    for n in range(order + 1):
+        s = sum(comb(n + 1, p) * u[p] for p in range(n % 2, n, 2))
+        u[n] = (0 if n % 2 else D) - s // (n + 1)
+    return TruncatedSeries([Fraction(x, D * factorial(n)) for n, x in enumerate(u)], order)
 
 
 def tanh_over_t_series(order: int) -> TruncatedSeries:
     """Truncated series of tanh t / t via the recurrence y' = 1 - y^2.
 
-    Independent of `t_over_tanh_series`: the Taylor coefficients a_n of
-    tanh t satisfy (n+1) a_{n+1} = [n = 0] - sum_{p+q=n} a_p a_q.
+    Independent of `t_over_tanh_series`: with tanh t = sum A_n t^n/n!, the
+    integers A_n satisfy A_{n+1} = [n = 0] - sum_p C(n, p) A_p A_{n-p}.
     """
-    a = [Fraction(0)] * (order + 2)
+    a = [0] * (order + 2)
     for n in range(order + 1):
-        conv = sum((a[p] * a[n - p] for p in range(n + 1)), Fraction(0))
-        a[n + 1] = ((1 if n == 0 else 0) - conv) / (n + 1)
-    return TruncatedSeries(a[1 : order + 2], order)
+        a[n + 1] = (n == 0) - sum(comb(n, p) * a[p] * a[n - p] for p in range(n + 1))
+    return TruncatedSeries([Fraction(x, factorial(d + 1)) for d, x in enumerate(a[1:])], order)
 
 
 def b_coefficients(K: int) -> list[Fraction]:
@@ -195,12 +199,10 @@ def b_coefficients(K: int) -> list[Fraction]:
 # E_m spanning sets
 # ---------------------------------------------------------------------------
 
-class EMonomial(NamedTuple):
+class EMonomial(namedtuple("EMonomial", "i j k")):
     """alpha^i beta^j xi^k subject to the E_m admissibility conditions."""
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -277,13 +279,16 @@ def equivariant_series_structural(g: int, N: int) -> TruncatedSeries:
 # E-basis independence in the quotient ring
 # ---------------------------------------------------------------------------
 
-class IndependenceVerdict(NamedTuple):
-    m: int
-    basis_size: int
-    rank: int
-    passed: bool
-    failing_degree: int | None = None
-    dependency: tuple[Fraction, ...] | None = None
+class IndependenceVerdict(
+    namedtuple(
+        "IndependenceVerdict",
+        "m basis_size rank passed failing_degree dependency",
+        defaults=(None, None),
+    )
+):
+    """failing_degree (int) and dependency (tuple of Fractions) are None on a pass."""
+
+    __slots__ = ()
 
 
 E_INDEPENDENCE_CAP = 4
@@ -329,18 +334,20 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
 # top identity, pairing
 # ---------------------------------------------------------------------------
 
-class TopIdentityEntry(NamedTuple):
-    m: int
-    n: int
-    coefficient: Fraction
-    passed: bool
-    residual: str
+class TopIdentityEntry(
+    namedtuple("TopIdentityEntry", "m n coefficient passed residual")
+):
+    """The (m, n) identity: its Fraction coefficient and rendered residual."""
+
+    __slots__ = ()
 
 
-class TopIdentityVerdict(NamedTuple):
-    genus: int
-    entries: tuple[TopIdentityEntry, ...]
-    top_degree_dimension: int
+class TopIdentityVerdict(
+    namedtuple("TopIdentityVerdict", "genus entries top_degree_dimension")
+):
+    """entries is a tuple of TopIdentityEntry."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -386,12 +393,10 @@ def top_identity_check(g: int) -> TopIdentityVerdict:
     )
 
 
-class PairingEntry(NamedTuple):
-    left: tuple[int, int]
-    right: tuple[int, int]
-    m: int
-    n: int
-    value: Fraction
+class PairingEntry(namedtuple("PairingEntry", "left right m n value")):
+    """<kappa(alpha^i beta^j), kappa(alpha^k beta^l)>: left (i, j), right (k, l)."""
+
+    __slots__ = ()
 
 
 def pairing_matrix(g: int) -> list[PairingEntry]:

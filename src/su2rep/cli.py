@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import inf
-from typing import NamedTuple, Sequence
 
 from .assembly import (
     E_INDEPENDENCE_CAP,
@@ -59,16 +60,16 @@ from .series import TruncatedSeries, latex_rational, monomial_str, zpoly_str
 DEFAULT_GENUS_CAP = 4
 
 
-class CheckRecord(NamedTuple):
-    name: str
-    genus: int | None
-    status: str  # pass | fail | skipped
-    details: str
+class CheckRecord(namedtuple("CheckRecord", "name genus status details")):
+    """status is pass, fail or skipped; genus is None for a genus-free check."""
+
+    __slots__ = ()
 
 
-class VerificationReport(NamedTuple):
-    genus: int
-    checks: tuple[CheckRecord, ...]
+class VerificationReport(namedtuple("VerificationReport", "genus checks")):
+    """checks is a tuple of CheckRecord."""
+
+    __slots__ = ()
 
     @property
     def overall(self) -> str:
@@ -269,12 +270,13 @@ def _check_e_independence(g: int, closed: BettiTable) -> tuple[bool, str]:
 
 
 def _check_b_series(g: int, closed: BettiTable) -> tuple[bool, str]:
-    prod = t_over_tanh_series(24) * tanh_over_t_series(24)
-    ok = prod == TruncatedSeries.one(24)
-    ok = ok and b_coefficients(2) == [1, Fraction(1, 3), Fraction(-1, 45)]
-    if ok:
-        return True, "product with independent tanh expansion is 1 to order 24"
-    return False, "series product deviates from 1"
+    if t_over_tanh_series(24) * tanh_over_t_series(24) != TruncatedSeries.one(24):
+        return False, "product with independent tanh expansion deviates from 1"
+    b = b_coefficients(2)
+    if b != [1, Fraction(1, 3), Fraction(-1, 45)]:
+        shown = ", ".join(map(str, b))
+        return False, f"b_0, b_1, b_2 are {shown}, expected 1, 1/3, -1/45"
+    return True, "product with independent tanh expansion is 1 to order 24"
 
 
 def _check_lefschetz(g: int, closed: BettiTable) -> tuple[bool, str]:

@@ -25,9 +25,9 @@ product is the union, and its sign counts the generator pairs out of order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
 from math import comb
-from typing import Iterable
 
 from .linalg import exact_rank
 

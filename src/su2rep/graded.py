@@ -14,9 +14,9 @@ each homogeneous of weighted degree 2n.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .series import monomial_str, signed_sum
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
 
 from .graded import (
     Monomial,
@@ -33,8 +34,6 @@ from .graded import (
     monomial_degree,
     monomial_divides,
     monomial_key,
-    monomial_lcm,
-    monomial_quotient,
     mumford_c,
     parse_poly,
     render_poly,
@@ -48,11 +47,10 @@ Key = tuple[int, int, int, int]
 Reducer = tuple[Key, int, list[tuple[Key, int]]]
 
 
-class GroebnerBasis(NamedTuple):
+class GroebnerBasis(namedtuple("GroebnerBasis", "generators source_k", defaults=(None,))):
     """Reduced monic basis, generators sorted by ascending leading monomial."""
 
-    generators: tuple[Poly, ...]
-    source_k: int | None = None
+    __slots__ = ()
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.generators)
@@ -156,44 +154,49 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
     """Unique reduced monic Groebner basis of the ideal generated by gens.
 
     Works over Z on primitive generators and converts to monic `Poly`s only
-    at the end.  Normal pair-selection strategy: a heap hands out the
-    pending pair with the smallest lcm of leading monomials, ties broken by
-    index.  Two criteria skip pairs whose S-polynomial needs no reduction:
-    - coprime leading monomials (Buchberger's first criterion);
-    - the chain criterion (Buchberger's second criterion, as in
-      Gebauer-Moeller 1988): skip (i, j) when some other generator k has
-      lm_k | lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is pending.
+    at the end.  Normal pair-selection strategy: a heap hands out the queued
+    pair with the smallest lcm of leading monomials, ties broken by index.
+    When a generator h joins, the Gebauer-Moeller update (1988) prunes pairs:
+    - a queued pair (i, j) goes when lm_h divides its lcm L and L differs
+      from both lcm(lm_i, lm_h) and lcm(lm_j, lm_h);
+    - of the new pairs (i, h), one is queued per minimal lcm, and none for
+      an lcm that a coprime pair (i, h) attains.
     """
-    basis = [_reducer(_to_z(g)[0]) for g in gens if not g.is_zero()]
+    basis: list[Reducer] = []
+    heap: list[tuple[Key, int, int]] = []
+
+    def add(f: dict[Key, int]) -> None:
+        h = len(basis)
+        basis.append(_reducer(f))
+        d, a, b, c = basis[h][0]
+        lcms = []
+        for (_, x, y, z), _, _ in basis[:h]:
+            x, y, z = x if x > a else a, y if y > b else b, z if z > c else c
+            lcms.append((2 * x + 4 * y + 6 * z, x, y, z))
+        heap[:] = [
+            e for e in heap
+            if not (a <= e[0][1] and b <= e[0][2] and c <= e[0][3])
+            or e[0] == lcms[e[1]] or e[0] == lcms[e[2]]
+        ]
+        heapq.heapify(heap)
+        # one pair per lcm; a pair is coprime exactly when the degrees add
+        pairs = {l: i for i, l in enumerate(lcms)}
+        coprime = {l for l, (lm, _, _) in zip(lcms, basis) if l[0] == lm[0] + d}
+        minimal: list[Key] = []
+        for l in sorted(pairs):
+            if not any(m[1] <= l[1] and m[2] <= l[2] and m[3] <= l[3] for m in minimal):
+                minimal.append(l)
+                if l not in coprime:
+                    heapq.heappush(heap, (l, pairs[l], h))
+
+    for g in gens:
+        if not g.is_zero():
+            add(_to_z(g)[0])
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    heap: list[tuple[Key, tuple[int, int]]] = []
-    pending: set[tuple[int, int]] = set()
-
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            l1, l2, l3 = map(max, basis[i][0][1:], basis[j][0][1:])
-            heapq.heappush(heap, ((2 * l1 + 4 * l2 + 6 * l3, l1, l2, l3), (i, j)))
-            pending.add((i, j))
-
-    for j in range(1, len(basis)):
-        push_pairs(j)
     while heap:
-        l, (i, j) = heapq.heappop(heap)
-        pending.remove((i, j))
+        l, i, j = heapq.heappop(heap)
         (lmf, lcf, f), (lmg, lcg, g) = basis[i], basis[j]
-        # coprime exactly when the lcm is the product, i.e. the degrees add
-        if l[0] == lmf[0] + lmg[0]:
-            continue
-        if any(
-            n != i
-            and n != j
-            and lm[1] <= l[1] and lm[2] <= l[2] and lm[3] <= l[3]
-            and (min(i, n), max(i, n)) not in pending
-            and (min(j, n), max(j, n)) not in pending
-            for n, (lm, _, _) in enumerate(basis)
-        ):
-            continue
         # (lc_g/h) (l/lm_f) f - (lc_f/h) (l/lm_g) g, with h = gcd(lc_f, lc_g)
         h = gcd(lcf, lcg)
         s: dict[Key, int] = {}
@@ -201,8 +204,7 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
         _add_multiple(s, -(lcf // h), l, lmg, g)
         r, _ = _reduce(s, basis)
         if r:
-            basis.append(_reducer(r))
-            push_pairs(len(basis) - 1)
+            add(r)
 
     # minimalize: ascending leading monomials, drop any divisible by a kept one
     basis.sort(key=lambda f: f[0])
@@ -225,6 +227,16 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
 # monomial ideals and Hilbert series
 # ---------------------------------------------------------------------------
 
+def _minimal(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The minimal monomials of a family (an antichain), in ascending monomial order."""
+    kept: list[Monomial] = []
+    for m in sorted(set(monomials), key=monomial_key):
+        a, b, c = m
+        if not any(x <= a and y <= b and z <= c for x, y, z in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
 class MonomialIdeal:
     """Monomial ideal given by its antichain of minimal generators."""
 
@@ -239,12 +251,9 @@ class MonomialIdeal:
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> MonomialIdeal:
-        ms = sorted(set(monomials), key=monomial_key)
-        minimal: list[Monomial] = []
-        for m in ms:
-            if not any(monomial_divides(k, m) for k in minimal):
-                minimal.append(m)
-        return cls(generators=tuple(minimal))
+        ideal = object.__new__(cls)  # _minimal returns an antichain: skip its re-check
+        ideal.generators = _minimal(monomials)
+        return ideal
 
     def contains(self, m: Monomial) -> bool:
         return any(monomial_divides(g, m) for g in self.generators)
@@ -278,9 +287,11 @@ def _pivot_numerator(gens: tuple[Monomial, ...]) -> dict[int, int]:
     p = gens[-1]
     rest = gens[:-1]
     out = dict(_pivot_numerator(rest))
-    colon = MonomialIdeal.from_monomials(
-        monomial_quotient(monomial_lcm(m, p), p) for m in rest
-    ).generators
+    pa, pb, pc = p  # lcm(m, p) / p, written out
+    colon = _minimal(
+        (x - pa if x > pa else 0, y - pb if y > pb else 0, z - pc if z > pc else 0)
+        for x, y, z in rest
+    )
     dp = monomial_degree(p)
     for d, c in _pivot_numerator(colon).items():
         out[d + dp] = out.get(d + dp, 0) - c

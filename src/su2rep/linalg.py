@@ -12,8 +12,8 @@ tolerances.  The input mappings are never mutated.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
 
 
 def _insert(row: Mapping, pivots: dict[Hashable, dict]) -> Hashable | None:

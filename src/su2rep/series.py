@@ -18,9 +18,9 @@ object, so they are safe to share between concurrent callers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_criterion_8_b_series(capsys):
         capsys,
         8,
         "t/tanh t series inverts its reciprocal and has the stated coefficients",
-        1.0,
+        0.1,
         body,
     )
 
@@ -228,7 +228,7 @@ def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
         capsys,
         10,
         "reduced basis of I_12 computed with no cache or memo",
-        1.0,
+        0.25,
         body,
     )
 

@@ -114,6 +114,41 @@ def test_tanh_oracle_initial_terms():
     assert all(s.coefficient(d) == 0 for d in (1, 3, 5))
 
 
+def t_over_tanh_by_division(order):
+    """Reference for `t_over_tanh_series`: cosh t / (sinh t / t) by series division over Q."""
+    cosh = TruncatedSeries(
+        [Fraction(1, factorial(d)) if d % 2 == 0 else Fraction(0) for d in range(order + 1)]
+    )
+    sinh_over_t = TruncatedSeries(
+        [Fraction(1, factorial(d + 1)) if d % 2 == 0 else Fraction(0) for d in range(order + 1)]
+    )
+    return series_div(cosh, sinh_over_t)
+
+
+def tanh_over_t_by_convolution(order):
+    """Reference for `tanh_over_t_series`: the Taylor coefficients a_n of tanh t
+    satisfy (n+1) a_{n+1} = [n = 0] - sum_{p+q=n} a_p a_q, over Q."""
+    a = [Fraction(0)] * (order + 2)
+    for n in range(order + 1):
+        conv = sum((a[p] * a[n - p] for p in range(n + 1)), Fraction(0))
+        a[n + 1] = ((1 if n == 0 else 0) - conv) / (n + 1)
+    return TruncatedSeries(a[1 : order + 2], order)
+
+
+def test_integer_recurrences_match_fraction_references():
+    for order in range(41):
+        assert t_over_tanh_series(order) == t_over_tanh_by_division(order)
+        assert tanh_over_t_series(order) == tanh_over_t_by_convolution(order)
+
+
+def test_b_coefficients_are_scaled_bernoulli_numbers():
+    # t/tanh t = sum 4^k B_{2k} t^{2k} / (2k)!
+    sympy = pytest.importorskip("sympy")
+    for k, b in enumerate(b_coefficients(20)):
+        B = sympy.bernoulli(2 * k)
+        assert b == Fraction(4 ** k * int(B.p), int(B.q) * factorial(2 * k))
+
+
 def test_series_product_is_one_to_order_24():
     prod = t_over_tanh_series(24) * tanh_over_t_series(24)
     assert prod.coefficient(0) == 1

@@ -315,6 +315,38 @@ def test_restriction_check_never_passes_on_an_all_zero_window(monkeypatch):
     assert status["restriction-vs-invariant"] == "fail"
 
 
+def test_b_series_check_passing_text():
+    assert cli._check_b_series(2, None) == (
+        True,
+        "product with independent tanh expansion is 1 to order 24",
+    )
+
+
+def test_b_series_check_names_failing_product(monkeypatch):
+    from su2rep.series import TruncatedSeries
+
+    original = cli.tanh_over_t_series
+
+    def corrupted(order):
+        coeffs = list(original(order).coeffs)
+        coeffs[2] += 1
+        return TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(cli, "tanh_over_t_series", corrupted)
+    passed, details = cli._check_b_series(2, None)
+    assert passed is False
+    assert details == "product with independent tanh expansion deviates from 1"
+
+
+def test_b_series_check_names_failing_coefficients(monkeypatch):
+    monkeypatch.setattr(
+        cli, "b_coefficients", lambda K: [1, Fraction(1, 3), Fraction(1, 45)]
+    )
+    passed, details = cli._check_b_series(2, None)
+    assert passed is False
+    assert details == "b_0, b_1, b_2 are 1, 1/3, 1/45, expected 1, 1/3, -1/45"
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # each CLI job is its own process, so import cost is paid on every run;
     # -S keeps site's .pth hooks from loading modules on su2rep's behalf

@@ -364,9 +364,9 @@ def test_relation_basis_matches_golden_digest(k):
     assert hashlib.sha256(text.encode()).hexdigest() == BASIS_DIGESTS[k]
 
 
-@pytest.mark.parametrize("k", range(13))
-def test_relation_basis_matches_sympy(k):
-    """Independent oracle: sympy's Buchberger under the same weighted order."""
+def sympy_reduced_basis(gens):
+    """Independent oracle: sympy's Buchberger under the same weighted order,
+    as monic `Poly`s sorted by ascending leading monomial."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.orderings import MonomialOrder
 
@@ -390,21 +390,41 @@ def test_relation_basis_matches_sympy(k):
         )
 
     oracle = sympy.groebner(
-        [to_expr(p) for p in ideal_generators(k)],
+        [to_expr(p) for p in gens],
         a,
         b,
         c,
         order=WeightedLex(),
         method="buchberger",
     )
-    expected = sorted(
-        (
-            Poly(
-                (m, Fraction(int(q.numerator), int(q.denominator)))
-                for m, q in g.monic().terms()
-            )
-            for g in oracle.polys
-        ),
-        key=lambda g: monomial_key(g.leading_monomial()),
-    )
-    assert buchberger(ideal_generators(k)).generators == tuple(expected)
+    # sympy's Poly keeps its own lex order, so make each generator monic in ours
+    polys = [
+        Poly((m, Fraction(int(q.numerator), int(q.denominator))) for m, q in g.terms())
+        for g in oracle.polys
+    ]
+    monic = [(1 / g.leading_coefficient()) * g for g in polys]
+    return tuple(sorted(monic, key=lambda g: monomial_key(g.leading_monomial())))
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_relation_basis_matches_sympy(k):
+    gens = ideal_generators(k)
+    assert buchberger(gens).generators == sympy_reduced_basis(gens)
+
+
+exponent_triples = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+integer_polys = st.one_of(
+    st.builds(lambda m, c: Poly({m: c}), exponent_triples, st.integers(-3, 3).filter(bool)),
+    st.dictionaries(
+        exponent_triples, st.integers(-5, 5).filter(bool), min_size=2, max_size=4
+    ).map(Poly),
+)
+
+
+@given(st.lists(integer_polys, min_size=1, max_size=4), st.lists(st.integers(0, 3), max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_buchberger_matches_sympy_on_random_integer_sets(gens, repeats):
+    """Non-homogeneous sets, monomials and repeated generators, past I_0..I_12:
+    every pair the Gebauer-Moeller update drops must leave the basis unchanged."""
+    gens = gens + [gens[i % len(gens)] for i in repeats]
+    assert buchberger(gens).generators == sympy_reduced_basis(gens)
