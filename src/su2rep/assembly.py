@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .exterior import prim_dimension_formula
-from .graded import Monomial, Poly, expand_abxi_monomial, render_poly
+from .graded import Poly, expand_abxi_monomial, render_poly
 from .groebner import (
     RING_DENOMINATOR,
     hilbert_series_quotient,
@@ -291,9 +291,6 @@ class IndependenceVerdict(
     __slots__ = ()
 
 
-E_INDEPENDENCE_CAP = 4
-
-
 def e_basis_independence(m: int) -> IndependenceVerdict:
     """Check the E_m monomials stay independent in Q[alpha,beta,gamma]/I_m.
 
@@ -301,8 +298,6 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
     Groebner basis of I_m, and exact ranks are taken degree by degree
     (normal forms of distinct weighted degrees cannot interact).
     """
-    if not 0 <= m <= E_INDEPENDENCE_CAP:
-        raise ValueError(f"independence check restricted to 0 <= m <= {E_INDEPENDENCE_CAP}")
     basis = e_basis(m)
     if not basis:
         return IndependenceVerdict(m=m, basis_size=0, rank=0, passed=True)
@@ -354,9 +349,6 @@ class TopIdentityVerdict(
         return all(e.passed for e in self.entries)
 
 
-TOP_IDENTITY_CAP = 4
-
-
 def top_identity_check(g: int) -> TopIdentityVerdict:
     """Reduce alpha^m beta^n + m! b_{g-n-1} alpha^{g-2} beta^{g-2} xi/(g-2)! mod I_g.
 
@@ -364,8 +356,7 @@ def top_identity_check(g: int) -> TopIdentityVerdict:
     verdict also records the dimension of the degree-(6g-6) graded piece of
     the quotient, which is reported rather than asserted.
     """
-    if not 2 <= g <= TOP_IDENTITY_CAP:
-        raise ValueError(f"top identity check restricted to 2 <= g <= {TOP_IDENTITY_CAP}")
+    _require_genus(g)
     gb = relation_ideal_basis(g)
     b = b_coefficients(g)
     entries = []

@@ -23,9 +23,7 @@ from functools import cache, lru_cache
 from math import inf
 
 from .assembly import (
-    E_INDEPENDENCE_CAP,
     IP_EXTRA_ORDER,
-    TOP_IDENTITY_CAP,
     BettiTable,
     b_coefficients,
     correction_series,
@@ -42,8 +40,6 @@ from .assembly import (
     top_identity_check,
 )
 from .exterior import (
-    BRUTEFORCE_PRIM_CAP,
-    RESTRICTION_CAP,
     invariant_truncated_dimensions,
     prim_dimension_bruteforce,
     prim_dimension_formula,
@@ -58,6 +54,12 @@ from .groebner import (
 from .series import TruncatedSeries, latex_rational, monomial_str, zpoly_str
 
 DEFAULT_GENUS_CAP = 4
+# run-time budgets of the verify table (and of e-basis's independence check);
+# the library functions they guard accept any genus
+E_INDEPENDENCE_CAP = 4
+BRUTEFORCE_PRIM_CAP = 5
+RESTRICTION_CAP = 3
+TOP_IDENTITY_CAP = 4
 
 
 class CheckRecord(namedtuple("CheckRecord", "name genus status details")):

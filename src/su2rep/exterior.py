@@ -33,9 +33,6 @@ from .linalg import exact_rank
 
 Key = tuple[int, int]
 
-BRUTEFORCE_PRIM_CAP = 5
-RESTRICTION_CAP = 3
-
 
 def mask(indices: Iterable[int]) -> int:
     """Bitmask of a set of generator indices, index i at bit i-1."""
@@ -159,10 +156,8 @@ def prim_dimension_formula(g: int, l: int) -> int:
 
 def prim_dimension_bruteforce(g: int, l: int) -> int:
     """dim ker(gamma^(g-l+1)) on exterior degree l, by exact elimination."""
-    if not 2 <= g <= BRUTEFORCE_PRIM_CAP:
-        raise ValueError(f"brute force restricted to 2 <= g <= {BRUTEFORCE_PRIM_CAP}")
-    if not 0 <= l <= g:
-        raise ValueError("need 0 <= l <= g")
+    if g < 2 or not 0 <= l <= g:
+        raise ValueError("need g >= 2 and 0 <= l <= g")
     n = 2 * g
     power = g - l + 1
     gamma_pow = gamma_element(g) ** power
@@ -191,11 +186,11 @@ def reliable_degree_window(g: int, U: int) -> int:
     return 2 * (U - g)
 
 
-def _validate_model_range(g: int, U: int) -> int:
-    if not 2 <= g <= RESTRICTION_CAP:
-        raise ValueError(f"Jacobian model restricted to 2 <= g <= {RESTRICTION_CAP}")
-    if U < g + 3:
-        raise ValueError("u-truncation too small to give a useful window")
+def _validate_model_range(g: int, U: int | None) -> int:
+    """The u-truncation U, by default g + 4; U < g + 3 gives no useful window."""
+    U = g + 4 if U is None else U
+    if g < 2 or U < g + 3:
+        raise ValueError("need g >= 2 and U >= g + 3")
     return U
 
 
@@ -204,7 +199,7 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
 
     Reported for degrees 0 .. 2(U - g) only.
     """
-    U = _validate_model_range(g, U if U is not None else g + 4)
+    U = _validate_model_range(g, U)
     w, four_u2, psis = _jac_generators(g, U)
     window = reliable_degree_window(g, U)
     result: dict[int, int] = {}
@@ -236,7 +231,7 @@ def invariant_truncated_dimensions(g: int, U: int | None = None) -> dict[int, in
     contributing C(2g, |S|) in degree |S| + 2e.  Same degree window as
     `restriction_image_dimensions`.
     """
-    U = _validate_model_range(g, U if U is not None else g + 4)
+    U = _validate_model_range(g, U)
     window = reliable_degree_window(g, U)
     result = {d: 0 for d in range(window + 1)}
     for e in range(g - 1, U + 1):

@@ -22,7 +22,6 @@ from su2rep.assembly import (
     tanh_over_t_series,
     top_identity_check,
 )
-from su2rep import exterior
 from su2rep.exterior import (
     invariant_truncated_dimensions,
     prim_dimension_bruteforce,
@@ -71,7 +70,7 @@ def test_criterion_2_intersection_route_agreement(capsys):
             assert closed.coefficients == structural.coefficients
 
     _timed(
-        capsys, 2, "closed-form and structural intersection series, g=2..6", 10.0, body
+        capsys, 2, "closed-form and structural intersection series, g=2..6", 1.0, body
     )
 
 
@@ -87,7 +86,7 @@ def test_criterion_3_equivariant_route_agreement(capsys):
         capsys,
         3,
         "equivariant series via Groebner bases matches closed form, g=2..4",
-        60.0,
+        1.0,
         body,
     )
 
@@ -109,7 +108,7 @@ def test_criterion_4_polynomiality_and_duality(capsys):
         capsys,
         4,
         "series difference is a palindromic polynomial of degree 6g-6, g=2..8",
-        10.0,
+        1.0,
         body,
     )
 
@@ -129,7 +128,7 @@ def test_criterion_5_lefschetz_dimension_identity(capsys):
         capsys,
         5,
         "primitive dimensions sum to 4^g and match brute-force kernels",
-        30.0,
+        1.0,
         body,
     )
 
@@ -150,7 +149,7 @@ def test_criterion_6_truncation_intersection(capsys):
         capsys,
         6,
         "restriction-image, invariant, and correction dimensions agree, g=2,3",
-        60.0,
+        1.0,
         body,
     )
 
@@ -175,7 +174,7 @@ def test_criterion_7_top_identity_and_pairing(capsys):
         capsys,
         7,
         "top-degree relation and pairing normalization, g=2..4",
-        60.0,
+        1.0,
         body,
     )
 
@@ -210,7 +209,7 @@ def test_criterion_9_e_basis_independence(capsys):
         capsys,
         9,
         "monomial spanning sets stay independent in the quotient, m=0..4",
-        30.0,
+        1.0,
         body,
     )
 
@@ -233,9 +232,7 @@ def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
     )
 
 
-def test_prim_bruteforce_g7_uncapped(capsys, monkeypatch):
-    monkeypatch.setattr(exterior, "BRUTEFORCE_PRIM_CAP", 7)
-
+def test_prim_bruteforce_g7_uncapped(capsys):
     def body():
         for l in range(8):
             assert prim_dimension_bruteforce(7, l) == prim_dimension_formula(7, l)
@@ -243,7 +240,7 @@ def test_prim_bruteforce_g7_uncapped(capsys, monkeypatch):
     _timed(
         capsys,
         11,
-        "brute-force primitive kernels match the formula at g=7, past the cap",
-        2.0,
+        "brute-force primitive kernels match the formula at g=7, past verify's cap",
+        1.0,
         body,
     )

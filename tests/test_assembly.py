@@ -251,7 +251,7 @@ def test_equivariant_structural_expands_once(monkeypatch, g, N):
 
 # -- independence ---------------------------------------------------------------
 
-@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("m", range(6))  # 5 is past verify's cap
 def test_e_basis_independence_passes(m):
     verdict = e_basis_independence(m)
     assert verdict.passed
@@ -288,7 +288,7 @@ def test_e_basis_independence_reports_a_dependency(monkeypatch):
 
 def test_e_basis_independence_guard():
     with pytest.raises(ValueError):
-        e_basis_independence(5)
+        e_basis_independence(-1)
 
 
 # -- fundamental class, top identity, pairing -------------------------------------
@@ -314,7 +314,7 @@ def test_fundamental_class_values():
         fundamental_class(1)
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])  # 5 is past verify's cap
 def test_top_identity_passes(g):
     verdict = top_identity_check(g)
     assert verdict.passed
@@ -335,7 +335,7 @@ def test_top_identity_g2_coefficient():
 
 def test_top_identity_guard():
     with pytest.raises(ValueError):
-        top_identity_check(5)
+        top_identity_check(1)
 
 
 def pairing_value(g, left, right):

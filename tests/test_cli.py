@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -232,6 +233,26 @@ def test_verify_cap_override(capsys):
     assert status["equivariant-route-agreement"] == "pass"
     assert status["restriction-vs-invariant"] == "skipped"
     assert status["top-identity"] == "skipped"
+
+
+CAPPED_CHECKS = [
+    (name, hard_cap)
+    for name, hard_cap, _ in cli.CHECKS
+    if hard_cap not in (None, math.inf)
+]
+
+
+@pytest.mark.parametrize(
+    "name, hard_cap", CAPPED_CHECKS, ids=[n for n, _ in CAPPED_CHECKS]
+)
+def test_hard_cap_is_decided_by_the_verify_table_alone(name, hard_cap):
+    # the library takes any genus, so the row runs up to its cap and is
+    # skipped, with a record, one past it
+    at_cap = {c.name: c for c in cli.run_verification(hard_cap, hard_cap).checks}
+    assert at_cap[name].status == "pass"
+    past = {c.name: c for c in cli.run_verification(hard_cap + 1, hard_cap + 1).checks}
+    assert past[name].status == "skipped"
+    assert past[name].details == f"genus {hard_cap + 1} exceeds cap {hard_cap}"
 
 
 def test_verify_derives_closed_table_once(monkeypatch):

@@ -179,9 +179,11 @@ def test_prim_dimensions_bruteforce_small_genus():
     total = sum(prim_dimension_bruteforce(3, l) * (3 - l + 1) for l in range(4))
     assert total == 64
     with pytest.raises(ValueError):
-        prim_dimension_bruteforce(6, 0)
+        prim_dimension_bruteforce(1, 0)
     with pytest.raises(ValueError):
         prim_dimension_bruteforce(3, 4)
+    with pytest.raises(ValueError):
+        prim_dimension_bruteforce(3, -1)
 
 
 def test_prim_dimension_formula_values():
@@ -190,7 +192,7 @@ def test_prim_dimension_formula_values():
     assert prim_dimension_formula(6, 6) == 924 - 495
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 6])  # 6 is past verify's cap
 def test_formula_matches_bruteforce(g):
     for l in range(g + 1):
         assert prim_dimension_formula(g, l) == prim_dimension_bruteforce(g, l)
@@ -243,21 +245,24 @@ def test_invariant_dimensions_g2():
     }
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])  # 4, 5 are past verify's cap
 def test_restriction_equals_invariant_in_window(g):
-    U = g + 4
-    window = reliable_degree_window(g, U)
-    assert window == 8
-    assert restriction_image_dimensions(g, U) == invariant_truncated_dimensions(g, U)
+    # the default truncation is U = g + 4, and its window has content
+    dims = restriction_image_dimensions(g)
+    assert dims == invariant_truncated_dimensions(g, g + 4)
+    assert max(dims) == reliable_degree_window(g, g + 4) == 8
+    assert any(dims.values())
 
 
 def test_model_range_validation():
     with pytest.raises(ValueError):
-        restriction_image_dimensions(4)
+        restriction_image_dimensions(1)
     with pytest.raises(ValueError):
         restriction_image_dimensions(2, U=3)
     with pytest.raises(ValueError):
         invariant_truncated_dimensions(1)
+    with pytest.raises(ValueError):
+        invariant_truncated_dimensions(3, U=5)
 
 
 def test_low_degrees_vanish_below_u_power_floor():

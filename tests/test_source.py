@@ -1,0 +1,63 @@
+"""Static checks over the package source, standing in for a linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import su2rep
+
+MODULES = sorted(Path(su2rep.__file__).parent.glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted(name for name in imported if name not in used)
+
+
+def defined_names(tree: ast.Module) -> list[str]:
+    """Every name a module binds, once per binding."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_is_caught():
+    tree = ast.parse("from .graded import Monomial, Poly\nimport os.path\nPoly()\n")
+    assert unused_imports(tree) == ["Monomial", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_hard_caps_are_defined_only_in_cli(path):
+    # the caps are run-time budgets of `verify`; library functions take any genus
+    caps = [n for n in defined_names(ast.parse(path.read_text())) if n.endswith("_CAP")]
+    expected = [] if path.name != "cli.py" else [
+        "BRUTEFORCE_PRIM_CAP",
+        "DEFAULT_GENUS_CAP",
+        "E_INDEPENDENCE_CAP",
+        "RESTRICTION_CAP",
+        "TOP_IDENTITY_CAP",
+    ]
+    assert sorted(caps) == expected
