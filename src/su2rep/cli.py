@@ -3,7 +3,7 @@
 Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
-`json.dumps(doc, sort_keys=True, indent=2)`, built bottom-up by one writer,
+`json.dumps(doc, sort_keys=True, indent=2)`, streamed to stdout by one writer,
 so identical invocations produce identical bytes and parsing plus
 re-rendering round-trips.
 
@@ -154,8 +154,8 @@ def cmd_pairing(args: argparse.Namespace) -> tuple[dict, int]:
         "data": {
             "entries": [
                 {
-                    "left": list(e.left),
-                    "right": list(e.right),
+                    "left": e.left,
+                    "right": e.right,
                     "m": e.m,
                     "n": e.n,
                     "value": values[e.n],
@@ -379,12 +379,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_json(doc: dict) -> str:
-    """The bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
+def render_json(doc: dict, write) -> None:
+    """Write the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
 
-    Built bottom-up: each container is joined once from its rendered items.
-    Only str, int, bool, None, dict (str keys), list and tuple are written;
-    anything else, float included, raises TypeError.
+    Streamed: a dict writes each key, then its value; a list writes each element
+    as one string that `dump` builds bottom-up.  Only str, int, bool, None, dict
+    (str keys), list and tuple are written; anything else raises TypeError.
     """
     # imported here: only --format json needs it; keeps start-up of the other formats lean
     from json.encoder import encode_basestring_ascii as quote
@@ -397,11 +397,20 @@ def render_json(doc: dict) -> str:
         if isinstance(o, int):
             return int.__repr__(o)
         inner = nl + "  "
+        # str and int leaves inline, with no call (a bool is not `type(v) is int`)
         if isinstance(o, dict):
-            parts = [quote(k) + ": " + dump(v, inner) for k, v in sorted(o.items())]
+            parts = [
+                quote(k) + ": " + (quote(v) if type(v) is str else int.__repr__(v)
+                                   if type(v) is int else dump(v, inner))
+                for k, v in sorted(o.items())
+            ]
             brackets = "{}"
         elif isinstance(o, (list, tuple)):
-            parts = [dump(v, inner) for v in o]
+            parts = [
+                quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                else dump(v, inner)
+                for v in o
+            ]
             brackets = "[]"
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -409,7 +418,22 @@ def render_json(doc: dict) -> str:
             return brackets
         return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
 
-    return dump(doc, "\n") + "\n"
+    def emit(o, nl: str) -> None:
+        inner = nl + "  "
+        if isinstance(o, dict) and o:
+            for i, (k, v) in enumerate(sorted(o.items())):
+                write(("," if i else "{") + inner + quote(k) + ": ")
+                emit(v, inner)
+            write(nl + "}")
+        elif isinstance(o, (list, tuple)) and o:
+            for i, v in enumerate(o):
+                write(("," if i else "[") + inner + dump(v, inner))
+            write(nl + "]")
+        else:
+            write(dump(o, nl))
+
+    emit(doc, "\n")
+    write("\n")
 
 
 @lru_cache
@@ -418,7 +442,7 @@ def _doc_fraction(num: str, den: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def render_text(doc: dict) -> str:
+def render_text(doc: dict, write) -> None:
     cmd = doc["command"]
     data = doc["data"]
     lines: list[str] = []
@@ -468,10 +492,11 @@ def render_text(doc: dict) -> str:
         lines.append(f"[{c['status']:>7}] {c['name']}: {c['details']}")
     if cmd == "verify":
         lines.append(f"overall: {data['overall'].upper()}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    write("\n".join(lines))
 
 
-def render_latex(doc: dict) -> str:
+def render_latex(doc: dict, write) -> None:
     cmd = doc["command"]
     data = doc["data"]
     lines: list[str] = []
@@ -524,7 +549,8 @@ def render_latex(doc: dict) -> str:
             detail = c["details"].replace("_", r"\_")
             lines.append(rf"{c['name']} & {c['status']} & {detail} \\")
         lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    write("\n".join(lines))
 
 
 RENDERERS = {"text": render_text, "json": render_json, "latex": render_latex}
@@ -638,7 +664,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     _validate(parser, args)
     try:
         doc, exit_code = COMMANDS[args.command](args)
-        sys.stdout.write(RENDERERS[args.format](doc))
+        # sys.stdout is looked up here, so redirect_stdout and capsys see the output
+        RENDERERS[args.format](doc, sys.stdout.write)
     except Exception:
         # a crash, such as a corrupt cache file, must not read as a failed check
         import traceback

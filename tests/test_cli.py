@@ -1,8 +1,10 @@
 import argparse
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -426,17 +428,23 @@ json_docs = st.recursive(
 )
 
 
+def render_json_str(doc) -> str:
+    out = io.StringIO()
+    cli.render_json(doc, out.write)
+    return out.getvalue()
+
+
 @given(json_docs)
 def test_render_json_matches_json_dumps(doc):
     # json.dumps is the reference the writer reproduces byte for byte
-    assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert render_json_str(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_render_json_empty_containers_at_depth():
     doc = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}}
-    assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert cli.render_json([]) == "[]\n"
-    assert cli.render_json({}) == "{}\n"
+    assert render_json_str(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert render_json_str([]) == "[]\n"
+    assert render_json_str({}) == "{}\n"
 
 
 @pytest.mark.parametrize(
@@ -444,7 +452,59 @@ def test_render_json_empty_containers_at_depth():
 )
 def test_render_json_rejects_other_types(doc):
     with pytest.raises(TypeError):
-        cli.render_json(doc)
+        render_json_str(doc)
+
+
+def test_render_json_streams_the_pairing_document():
+    # the writer holds one entry at a time, never the 872 KB document
+    doc, _ = cli.cmd_pairing(argparse.Namespace(genus=16))
+    written = 0
+
+    def count(s):
+        nonlocal written
+        written += len(s)
+
+    cli.render_json(doc, count)  # warm-up: imports and first-call allocations
+    written = 0
+    tracemalloc.start()
+    try:
+        cli.render_json(doc, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written == len(json.dumps(doc, sort_keys=True, indent=2)) + 1
+    assert peak < written // 50
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["pairing", "--genus", "6"], ["verify", "--genus", "3"], ["ring", "--k", "4"]],
+)
+def test_render_json_writes_at_most_one_entry_at_a_time(args):
+    parsed = cli.build_parser().parse_args(args)
+    doc, _ = cli.COMMANDS[parsed.command](parsed)
+    writes = []
+    cli.render_json(doc, writes.append)
+    # list elements sit at most three levels deep: data's fields, then checks
+    lists = [v for v in doc["data"].values() if isinstance(v, list)] + [doc["checks"]]
+    longest = max(
+        len(json.dumps(e, sort_keys=True, indent=2).replace("\n", "\n" + " " * 6))
+        for elements in lists
+        for e in elements
+    )
+    assert "".join(writes) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert max(map(len, writes)) <= len(",\n" + " " * 6) + longest
+
+
+def test_crash_while_rendering_exits_3(capsys, monkeypatch):
+    # the writer streams, so part of the document may reach stdout first
+    doc = {"command": "betti", "genus": 2, "data": {"betti": [1, 0, {"x": 0.5}]}}
+    monkeypatch.setitem(cli.COMMANDS, "betti", lambda args: (doc, 0))
+    assert main(["betti", "--genus", "2", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith('{\n  "command": "betti"')
+    assert "Traceback" in captured.err
+    assert "TypeError" in captured.err
 
 
 @pytest.mark.parametrize(
