@@ -14,13 +14,13 @@ goes to stderr).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import inf
+from types import SimpleNamespace
 
 from .assembly import (
     IP_EXTRA_ORDER,
@@ -84,7 +84,7 @@ class VerificationReport(namedtuple("VerificationReport", "genus checks")):
 # (document, exit_code)
 # ---------------------------------------------------------------------------
 
-def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_betti(args: SimpleNamespace) -> tuple[dict, int]:
     g = args.genus
     table = (
         ip_series_closed(g)
@@ -115,7 +115,7 @@ def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0 if palindromic else 1
 
 
-def cmd_ring(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_ring(args: SimpleNamespace) -> tuple[dict, int]:
     k, order = args.k, args.order
     basis = relation_ideal_basis(k)
     h = hilbert_series_quotient(leading_term_ideal(basis))
@@ -140,7 +140,7 @@ def cmd_ring(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_pairing(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_pairing(args: SimpleNamespace) -> tuple[dict, int]:
     g = args.genus
     entries = pairing_matrix(g)
     # the value depends only on n: one shared dict per degree
@@ -168,7 +168,7 @@ def cmd_pairing(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_eq_series(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_eq_series(args: SimpleNamespace) -> tuple[dict, int]:
     g = args.genus
     order = args.order if args.order is not None else 6 * g + IP_EXTRA_ORDER
     series = (
@@ -189,7 +189,7 @@ def cmd_eq_series(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0
 
 
-def cmd_e_basis(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_e_basis(args: SimpleNamespace) -> tuple[dict, int]:
     m = args.m
     basis = e_basis(m)
     hilbert = e_hilbert(m)
@@ -361,7 +361,7 @@ def run_verification(g: int, cap: int) -> VerificationReport:
     return VerificationReport(genus=g, checks=tuple(records))
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     report = run_verification(args.genus, args.unsafe_genus_cap)
     doc = {
         "command": "verify",
@@ -386,8 +386,12 @@ def render_json(doc: dict, write) -> None:
     as one string that `dump` builds bottom-up.  Only str, int, bool, None, dict
     (str keys), list and tuple are written; anything else raises TypeError.
     """
-    # imported here: only --format json needs it; keeps start-up of the other formats lean
-    from json.encoder import encode_basestring_ascii as quote
+    # the C quoting function alone: the json package would load json.decoder and
+    # json.scanner and compile their regexes, a few ms of a short job
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:
+        from json.encoder import encode_basestring_ascii as quote
 
     def dump(o, nl: str) -> str:
         if isinstance(o, str):
@@ -445,112 +449,106 @@ def _doc_fraction(num: str, den: str) -> Fraction:
 def render_text(doc: dict, write) -> None:
     cmd = doc["command"]
     data = doc["data"]
-    lines: list[str] = []
+
+    def line(text: str) -> None:
+        write(text + "\n")
+
     if cmd == "betti":
-        lines.append(
-            f"IH Betti numbers, genus {doc['genus']} ({data['route']} route)"
-        )
-        lines.append(f"IP_t = {zpoly_str(data['betti'])}")
-        lines.append(f"total dimension: {data['total_dimension']}")
+        line(f"IH Betti numbers, genus {doc['genus']} ({data['route']} route)")
+        line(f"IP_t = {zpoly_str(data['betti'])}")
+        line(f"total dimension: {data['total_dimension']}")
     elif cmd == "ring":
-        lines.append(f"reduced Groebner basis of I_{data['k']}:")
+        line(f"reduced Groebner basis of I_{data['k']}:")
         for g in data["basis"]:
-            lines.append(f"  {g}")
-        lines.append(
+            line(f"  {g}")
+        line(
             f"Hilbert series: ({zpoly_str(data['hilbert_numerator'])})"
             f" / ({zpoly_str(data['hilbert_denominator'])})"
         )
-        lines.append(
-            f"expansion to order {data['order']}: {zpoly_str(data['expansion'])}"
-        )
+        line(f"expansion to order {data['order']}: {zpoly_str(data['expansion'])}")
     elif cmd == "pairing":
-        lines.append(f"intersection pairing, genus {doc['genus']}")
+        line(f"intersection pairing, genus {doc['genus']}")
         # exponent pairs repeat across entries: format each one once
         kappa = cache(lambda i, j: f"kappa({monomial_str((i, j), VARIABLE_NAMES)})")
         for e in data["entries"]:
             i, j = e["left"]
             k, l = e["right"]
             value = _doc_fraction(e["value"]["num"], e["value"]["den"])
-            lines.append(f"  <{kappa(i, j)}, {kappa(k, l)}> = {value}")
+            line(f"  <{kappa(i, j)}, {kappa(k, l)}> = {value}")
     elif cmd == "eq-series":
-        lines.append(
+        line(
             f"equivariant Poincare series, genus {doc['genus']} "
             f"({data['route']} route), to order {data['order']}"
         )
-        lines.append(f"P_t = {zpoly_str(data['coefficients'])} + ...")
+        line(f"P_t = {zpoly_str(data['coefficients'])} + ...")
     elif cmd == "e-basis":
-        lines.append(f"E_{data['m']} spanning set ({data['size']} monomials)")
+        line(f"E_{data['m']} spanning set ({data['size']} monomials)")
         for e in data["monomials"]:
-            lines.append(f"  {monomial_str(e, ('alpha', 'beta', 'xi'))}")
-        lines.append(f"degree generating polynomial: {zpoly_str(data['hilbert'])}")
+            line(f"  {monomial_str(e, ('alpha', 'beta', 'xi'))}")
+        line(f"degree generating polynomial: {zpoly_str(data['hilbert'])}")
     elif cmd == "verify":
-        lines.append(
+        line(
             f"verification report, genus {doc['genus']} "
             f"(genus cap {data['genus_cap']})"
         )
     for c in doc["checks"]:
-        lines.append(f"[{c['status']:>7}] {c['name']}: {c['details']}")
+        line(f"[{c['status']:>7}] {c['name']}: {c['details']}")
     if cmd == "verify":
-        lines.append(f"overall: {data['overall'].upper()}")
-    lines.append("")
-    write("\n".join(lines))
+        line(f"overall: {data['overall'].upper()}")
 
 
 def render_latex(doc: dict, write) -> None:
     cmd = doc["command"]
     data = doc["data"]
-    lines: list[str] = []
+
+    def line(text: str) -> None:
+        write(text + "\n")
+
     if cmd == "betti":
-        lines.append(
+        line(
             rf"$IP_t(X(SU(2))) = {zpoly_str(data['betti'], latex=True)}$ "
             rf"\quad (g = {doc['genus']})"
         )
     elif cmd == "ring":
-        lines.append(rf"Reduced Gr\"obner basis of $I_{{{data['k']}}}$:")
-        lines.append(r"\begin{align*}")
+        line(rf"Reduced Gr\"obner basis of $I_{{{data['k']}}}$:")
+        line(r"\begin{align*}")
         rendered = [render_poly(parse_poly(g), latex=True) for g in data["basis"]]
-        lines.append(" \\\\\n".join(f"& {r}" for r in rendered))
-        lines.append(r"\end{align*}")
-        lines.append(
+        line(" \\\\\n".join(f"& {r}" for r in rendered))
+        line(r"\end{align*}")
+        line(
             rf"Hilbert series: $\frac{{{zpoly_str(data['hilbert_numerator'], latex=True)}}}"
             rf"{{{zpoly_str(data['hilbert_denominator'], latex=True)}}}$"
         )
     elif cmd == "pairing":
-        lines.append(r"\begin{tabular}{llr}")
-        lines.append(r"left & right & value \\")
-        lines.append(r"\hline")
+        line(r"\begin{tabular}{llr}")
+        line(r"left & right & value \\")
+        line(r"\hline")
         for e in data["entries"]:
             i, j = e["left"]
             k, l = e["right"]
             value = _doc_fraction(e["value"]["num"], e["value"]["den"])
-            lines.append(
+            line(
                 rf"$\kappa(\alpha^{{{i}}}\beta^{{{j}}})$ & "
                 rf"$\kappa(\alpha^{{{k}}}\beta^{{{l}}})$ & "
                 rf"${latex_rational(value)}$ \\"
             )
-        lines.append(r"\end{tabular}")
+        line(r"\end{tabular}")
     elif cmd == "eq-series":
-        lines.append(
-            rf"$P_t^{{SU(2)}} = {zpoly_str(data['coefficients'], latex=True)} + \cdots$"
-        )
+        line(rf"$P_t^{{SU(2)}} = {zpoly_str(data['coefficients'], latex=True)} + \cdots$")
     elif cmd == "e-basis":
         monos = [
             monomial_str(e, (r"\alpha", r"\beta", r"\xi"), latex=True)
             for e in data["monomials"]
         ]
-        lines.append(
-            rf"$E_{{{data['m']}}} = \{{{', '.join(monos)}\}}$"
-        )
+        line(rf"$E_{{{data['m']}}} = \{{{', '.join(monos)}\}}$")
     elif cmd == "verify":
-        lines.append(r"\begin{tabular}{llp{8cm}}")
-        lines.append(r"check & status & details \\")
-        lines.append(r"\hline")
+        line(r"\begin{tabular}{llp{8cm}}")
+        line(r"check & status & details \\")
+        line(r"\hline")
         for c in doc["checks"]:
             detail = c["details"].replace("_", r"\_")
-            lines.append(rf"{c['name']} & {c['status']} & {detail} \\")
-        lines.append(r"\end{tabular}")
-    lines.append("")
-    write("\n".join(lines))
+            line(rf"{c['name']} & {c['status']} & {detail} \\")
+        line(r"\end{tabular}")
 
 
 RENDERERS = {"text": render_text, "json": render_json, "latex": render_latex}
@@ -560,7 +558,73 @@ RENDERERS = {"text": render_text, "json": render_json, "latex": render_latex}
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+REQUIRED = object()  # the default of a flag that must be given
+Flag = namedtuple("Flag", "name type default choices help", defaults=(None, None))
+GENUS = Flag("--genus", int, REQUIRED)
+FORMAT = Flag(
+    "--format", str, "text", ("text", "json", "latex"), "output format (default text)"
+)
+ROUTES = ("closed", "structural")
+
+# each subcommand's help and flags in usage order, read by _parse_fast and build_parser
+OPTIONS = {
+    "betti": ("intersection cohomology Betti numbers", (
+        GENUS,
+        Flag("--route", str, "closed", ROUTES,
+             "closed form or primitive-part assembly (default closed)"),
+        FORMAT,
+    )),
+    "ring": ("Groebner basis and Hilbert series of a relation ideal I_k", (
+        Flag("--k", int, REQUIRED), Flag("--order", int, 24), FORMAT,
+    )),
+    "pairing": ("intersection pairing matrix", (GENUS, FORMAT)),
+    "eq-series": ("equivariant Poincare series", (
+        GENUS, Flag("--order", int, None), Flag("--route", str, "closed", ROUTES), FORMAT,
+    )),
+    "e-basis": ("E_m spanning set and its degrees", (Flag("--m", int, REQUIRED), FORMAT)),
+    "verify": ("run all cross-checks and report", (
+        GENUS,
+        Flag("--unsafe-genus-cap", int, DEFAULT_GENUS_CAP, None,
+             "raise the genus guard for Groebner-bound checks; checks with "
+             f"hard run-time caps still cap below it (default {DEFAULT_GENUS_CAP})"),
+        FORMAT,
+    )),
+}
+
+
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for `<command> --flag value ...`, or None.
+
+    Only exact flags of the command, each at most once, with values that do not
+    start with "-" and that convert; anything else (help, `--flag=value`,
+    abbreviations, usage errors) is left to argparse.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in OPTIONS:
+        return None
+    flags = {f.name: f for f in OPTIONS[argv[0]][1]}
+    given = {}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        flag = flags.get(name)
+        if flag is None or name in given or value.startswith("-"):
+            return None
+        try:
+            given[name] = flag.type(value)
+        except ValueError:
+            return None
+        if flag.choices and given[name] not in flag.choices:
+            return None
+    if any(f.default is REQUIRED and f.name not in given for f in flags.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        f.name[2:].replace("-", "_"): given.get(f.name, f.default) for f in flags.values()
+    })
+
+
+def build_parser():
+    """The argparse parser of the OPTIONS table, for help and usage errors."""
+    # imported here: with the build, it costs more than a warm command takes
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="su2rep",
         description=(
@@ -569,61 +633,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "latex"),
-            default="text",
-            help="output format (default text)",
-        )
-
-    p_betti = sub.add_parser("betti", help="intersection cohomology Betti numbers")
-    p_betti.add_argument("--genus", type=int, required=True)
-    p_betti.add_argument(
-        "--route",
-        choices=("closed", "structural"),
-        default="closed",
-        help="closed form or primitive-part assembly (default closed)",
-    )
-    add_format(p_betti)
-
-    p_ring = sub.add_parser(
-        "ring", help="Groebner basis and Hilbert series of a relation ideal I_k"
-    )
-    p_ring.add_argument("--k", type=int, required=True)
-    p_ring.add_argument("--order", type=int, default=24)
-    add_format(p_ring)
-
-    p_pairing = sub.add_parser("pairing", help="intersection pairing matrix")
-    p_pairing.add_argument("--genus", type=int, required=True)
-    add_format(p_pairing)
-
-    p_eq = sub.add_parser("eq-series", help="equivariant Poincare series")
-    p_eq.add_argument("--genus", type=int, required=True)
-    p_eq.add_argument("--order", type=int, default=None)
-    p_eq.add_argument(
-        "--route", choices=("closed", "structural"), default="closed"
-    )
-    add_format(p_eq)
-
-    p_eb = sub.add_parser("e-basis", help="E_m spanning set and its degrees")
-    p_eb.add_argument("--m", type=int, required=True)
-    add_format(p_eb)
-
-    p_verify = sub.add_parser("verify", help="run all cross-checks and report")
-    p_verify.add_argument("--genus", type=int, required=True)
-    p_verify.add_argument(
-        "--unsafe-genus-cap",
-        type=int,
-        default=DEFAULT_GENUS_CAP,
-        help=(
-            "raise the genus guard for Groebner-bound checks; checks with "
-            f"hard model limits still cap below it (default {DEFAULT_GENUS_CAP})"
-        ),
-    )
-    add_format(p_verify)
-
+    for command, (help_text, flags) in OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in flags:
+            required = f.default is REQUIRED
+            p.add_argument(
+                f.name, type=f.type, default=None if required else f.default,
+                choices=f.choices, required=required, help=f.help,
+            )
     return parser
 
 
@@ -637,31 +654,39 @@ COMMANDS = {
 }
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _validate(args: SimpleNamespace) -> str | None:
+    """The usage error in parsed arguments, or None."""
     genus = getattr(args, "genus", None)
     if genus is not None and genus < 2:
-        parser.error("--genus must be at least 2")
+        return "--genus must be at least 2"
     k = getattr(args, "k", None)
     if k is not None and k < 0:
-        parser.error("--k must be nonnegative")
+        return "--k must be nonnegative"
     order = getattr(args, "order", None)
     if order is not None:
         if args.command == "eq-series" and order < 6 * genus - 6:
-            parser.error(f"--order must be at least 6g-6 = {6 * genus - 6}")
+            return f"--order must be at least 6g-6 = {6 * genus - 6}"
         if order < 0:
-            parser.error("--order must be nonnegative")
+            return "--order must be nonnegative"
     m = getattr(args, "m", None)
     if m is not None and m < 0:
-        parser.error("--m must be nonnegative")
+        return "--m must be nonnegative"
     cap = getattr(args, "unsafe_genus_cap", DEFAULT_GENUS_CAP)
     if cap < 2:
-        parser.error("--unsafe-genus-cap must be at least 2")
+        return "--unsafe-genus-cap must be at least 2"
+    return None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_fast(argv)
+    if args is None or _validate(args):
+        # help, other spellings and usage errors: argparse parses them or exits 2
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        error = _validate(args)
+        if error:
+            parser.error(error)
     try:
         doc, exit_code = COMMANDS[args.command](args)
         # sys.stdout is looked up here, so redirect_stdout and capsys see the output

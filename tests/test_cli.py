@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2rep import cli
@@ -32,10 +32,28 @@ def run_json(capsys, *args):
 # -- exit codes (spawned binary) ------------------------------------------------
 
 def test_usage_errors_exit_2():
-    assert spawn("betti", "--genus", "1").returncode == 2
-    assert spawn("ring", "--k", "-1").returncode == 2
-    assert spawn("eq-series", "--genus", "2", "--order", "4").returncode == 2
-    assert spawn("nonsense").returncode == 2
+    for args in (
+        ["betti", "--genus", "1"],
+        ["ring", "--k", "-1"],
+        ["eq-series", "--genus", "2", "--order", "4"],
+        ["nonsense"],
+        ["betti", "--genus", "x"],
+        ["betti", "--genus", "2", "--route", "open"],
+        ["pairing", "--genus", "2", "--bogus", "1"],
+        ["verify", "--format", "json"],
+    ):
+        result = spawn(*args)
+        assert result.returncode == 2, args
+        assert "usage:" in result.stderr, args
+        assert result.stdout == "", args
+
+
+@pytest.mark.parametrize("args", [["--genus=2"], ["--gen", "2"]])
+def test_argparse_only_forms_still_run(args):
+    # --flag=value and abbreviations take the argparse path, with the same output
+    result = spawn("betti", *args)
+    assert result.returncode == 0
+    assert result.stdout == spawn("betti", "--genus", "2").stdout
 
 
 def test_corrupt_cache_exits_3(tmp_path):
@@ -370,16 +388,15 @@ def test_b_series_check_names_failing_coefficients(monkeypatch):
     assert details == "b_0, b_1, b_2 are 1, 1/3, 1/45, expected 1, 1/3, -1/45"
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    # each CLI job is its own process, so import cost is paid on every run;
-    # -S keeps site's .pth hooks from loading modules on su2rep's behalf
+def run_isolated(probe: str) -> str:
+    """stdout of `python -S -c probe` with su2rep importable.
+
+    Each CLI job is its own process, so import cost is paid on every run;
+    -S keeps site's .pth hooks from loading modules on su2rep's behalf.
+    """
     from pathlib import Path
     import os
 
-    probe = (
-        "import sys, su2rep.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
-    )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -389,7 +406,107 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    probe = (
+        "import sys, su2rep.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    )
+    assert run_isolated(probe) == "[]\n"
+
+
+def test_well_formed_calls_load_no_argparse_gettext_locale_or_json():
+    # argparse (with gettext and locale) is built only for help and usage
+    # errors, and the JSON writer quotes with _json alone
+    calls = [
+        args + ["--format", fmt]
+        for args in (
+            ["betti", "--genus", "2", "--route", "structural"],
+            ["ring", "--k", "1", "--order", "6"],
+            ["pairing", "--genus", "2"],
+            ["eq-series", "--genus", "2", "--order", "12", "--route", "structural"],
+            ["e-basis", "--m", "2"],
+            ["verify", "--genus", "2", "--unsafe-genus-cap", "2"],
+        )
+        for fmt in ("text", "json", "latex")
+    ]
+    probe = (
+        "import io, sys, su2rep.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        f"codes = [su2rep.cli.main(args) for args in {calls!r}]\n"
+        "loaded = {'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)\n"
+        "print(codes, sorted(loaded), file=sys.__stdout__)\n"
+    )
+    assert run_isolated(probe) == f"{[0] * len(calls)} []\n"
+
+
+FLAGS = sorted({f.name for _, flags in cli.OPTIONS.values() for f in flags})
+CHOICES = sorted(
+    {c for _, flags in cli.OPTIONS.values() for f in flags for c in f.choices or ()}
+)
+INTS = ["2", "3", "7", " 3", "+3", "1_0", "\u0663"]
+any_flag = st.sampled_from(
+    FLAGS + ["--gen", "--ord", "--unsafe", "--fo", "-h", "--help", "--"]
+)
+any_value = st.sampled_from(INTS + ["0", "-3", "x", "", "JSON", "closed "] + CHOICES)
+# abbreviations, --flag=value, a flag without its value, bad values, and
+# flags of other commands
+noise = (
+    st.tuples(any_flag, any_value)
+    | st.tuples(any_flag, any_value).map(lambda fv: ("=".join(fv),))
+    | any_flag.map(lambda f: (f,))
+)
+
+
+def command_lines(command):
+    # the command's own flags (--genus for an unknown command) with good
+    # values, some missing or repeated, shuffled with up to two noise tokens
+    own = st.one_of([
+        st.tuples(st.just(f.name), st.sampled_from(f.choices or INTS))
+        for f in cli.OPTIONS.get(command, ("", (cli.GENUS,)))[1]
+    ])
+    args = st.tuples(
+        st.lists(own, max_size=4, unique_by=lambda a: a[0]) | st.lists(own, max_size=4),
+        st.just([]) | st.lists(noise, min_size=1, max_size=2),
+    )
+    return args.flatmap(lambda a: st.permutations(a[0] + a[1])).map(
+        lambda args: [command] + [a for arg in args for a in arg]
+    )
+
+
+argvs = st.sampled_from(list(cli.COMMANDS) + ["nonsense", "-h"]).flatmap(command_lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs)
+def test_fast_parser_agrees_with_argparse(argv):
+    # whatever the fast parser accepts, argparse parses to the same attributes
+    fast = cli._parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--genus", "2", "--genus", "3"],
+        ["betti", "--genus=2"],
+        ["betti", "--gen", "2"],
+        ["betti", "--genus", "-3"],
+        ["betti", "--genus"],
+        ["betti", "--route", "closed"],
+        ["betti", "--genus", "2", "-h"],
+        ["verify", "--genus", "2", "--format", "JSON"],
+        ["ring", "--k", "x"],
+        ["ring", "--genus", "2"],
+        ["-h"],
+        [],
+    ],
+)
+def test_fast_parser_leaves_the_rest_to_argparse(argv):
+    assert cli._parse_fast(argv) is None
 
 
 # -- formats ----------------------------------------------------------------------
