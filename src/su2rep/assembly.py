@@ -286,7 +286,7 @@ class IndependenceVerdict(
         defaults=(None, None),
     )
 ):
-    """failing_degree (int) and dependency (tuple of Fractions) are None on a pass."""
+    """failing_degree (int) and dependency (tuple of ints) are None on a pass."""
 
     __slots__ = ()
 

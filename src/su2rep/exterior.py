@@ -170,17 +170,6 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
 # truncated Jacobian model
 # ---------------------------------------------------------------------------
 
-def _jac_generators(g: int, U: int) -> tuple[ExtElement, ExtElement, list[ExtElement]]:
-    """Images of alpha, beta, psi_i: w = -2 sum d_i d_{i+g}, 4u^2, -2u d_i.
-
-    Every index lies in 1..2g, the generators of the genus-g model.
-    """
-    w = ExtElement(gamma_element(g).terms, U)
-    four_u2 = ExtElement({(0, 2): 4}, U)
-    psis = [ExtElement({(mask((i,)), 1): -2}, U) for i in range(1, 2 * g + 1)]
-    return w, four_u2, psis
-
-
 def reliable_degree_window(g: int, U: int) -> int:
     """Largest degree at which u-truncated ranks are trusted."""
     return 2 * (U - g)
@@ -200,7 +189,8 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
     Reported for degrees 0 .. 2(U - g) only.
     """
     U = _validate_model_range(g, U)
-    w, four_u2, psis = _jac_generators(g, U)
+    w = ExtElement(gamma_element(g).terms, U)
+    four_u2 = ExtElement({(0, 2): 4}, U)
     window = reliable_degree_window(g, U)
     result: dict[int, int] = {}
     for degree in range(window + 1):
@@ -214,11 +204,10 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
                 if size > 2 * g:
                     continue
                 base = (w ** a) * (four_u2 ** b)
-                for s in combinations(psis, size):
-                    v = base
-                    for psi in s:
-                        v = v * psi
-                    rows.append(v.terms)
+                # the -2u d_i over i in s multiply, in increasing order, to c u^|s| d_s
+                c = (-2) ** size
+                for s in combinations(range(1, 2 * g + 1), size):
+                    rows.append((base * ExtElement({(mask(s), size): c}, U)).terms)
         projected = [{k: c for k, c in r.items() if k[1] < g - 1} for r in rows]
         result[degree] = exact_rank(rows) - exact_rank(projected)
     return result

@@ -39,17 +39,8 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
-
-
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
-def monomial_quotient(b: Monomial, a: Monomial) -> Monomial:
-    """b / a, assuming a divides b."""
-    return (b[0] - a[0], b[1] - a[1], b[2] - a[2])
 
 
 class Poly:

@@ -26,7 +26,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from pathlib import Path
 
 from .graded import (
     Monomial,
@@ -365,20 +364,24 @@ def relation_ideal_basis(k: int) -> GroebnerBasis:
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         return _relation_basis_computed(k)
-    path = Path(cache_dir) / f"relation-ideal-{k}.txt"
-    if path.exists():
-        basis = parse_basis(path.read_text())
+    name = f"relation-ideal-{k}.txt"
+    path = os.path.join(cache_dir, name)
+    if os.path.exists(path):
+        with open(path) as f:
+            basis = parse_basis(f.read())
         if basis.source_k != k:
             raise ValueError(f"cache file {path} is tagged k={basis.source_k}")
         return basis
     basis = _relation_basis_computed(k)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    os.makedirs(cache_dir, exist_ok=True)
     # write then rename, so a killed process never leaves a truncated file
     # (which would still parse, as a smaller basis) under the final name
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = os.path.join(cache_dir, f".{name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(render_basis(basis))
+        with open(tmp, "w") as f:
+            f.write(render_basis(basis))
         os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return basis

@@ -1,4 +1,4 @@
-"""Exact rank computation over the rationals, on sparse rows.
+"""Exact rank computation over the rationals, on sparse rows, by integer elimination.
 
 A row is a mapping from column to value; absent columns are zero and the
 columns only need to be mutually comparable.  One incremental elimination
@@ -6,31 +6,41 @@ serves both entry points: each row is reduced against the pivot rows found
 so far, each pivot row keyed by its smallest column, and a row that does not
 reduce to zero becomes a new pivot row.  A row only meets pivot rows whose
 leading column it holds, so fill-in stays inside the row/column blocks of a
-block-diagonal matrix.  Fractions throughout: no pivoting subtleties, no
-tolerances.  The input mappings are never mutated.
+block-diagonal matrix.  Values are `int` or `Fraction`; each row is scaled
+once to integers, and reduced fraction-free over Z as Bareiss eliminates
+(the step `groebner._reduce` takes): no pivoting subtleties, no tolerances.
+The input mappings are never mutated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def _insert(row: Mapping, pivots: dict[Hashable, dict]) -> Hashable | None:
-    """Reduce a copy of `row` against `pivots`; store and return its leading column.
+    """Reduce a multiple of `row` against `pivots`; store and return its leading column.
 
-    Returns None, storing nothing, when the row reduces to zero.
+    Returns None, storing nothing, when the row reduces to zero.  Pivot rows
+    are primitive integer rows.  For a leading value w over pivot value p,
+    with h = gcd(w, p), the row becomes (p/h)·row - (w/h)·pivot.
     """
-    work = {c: Fraction(v) for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    work = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
     while work:
         lead = min(work)
         pivot = pivots.get(lead)
         if pivot is None:
-            pivots[lead] = work
+            content = gcd(*work.values())
+            pivots[lead] = {c: v // content for c, v in work.items()}
             return lead
-        factor = work[lead] / pivot[lead]
+        p, w = pivot[lead], work[lead]
+        h = gcd(p, w)
+        a, b = p // h, w // h
+        if a != 1:
+            work = {c: a * v for c, v in work.items()}
         for c, v in pivot.items():
-            x = work.get(c, 0) - factor * v
+            x = work.get(c, 0) - b * v
             if x:
                 work[c] = x
             else:
@@ -38,8 +48,8 @@ def _insert(row: Mapping, pivots: dict[Hashable, dict]) -> Hashable | None:
     return None
 
 
-def dependency_vector(rows: Iterable[Mapping]) -> tuple[Fraction, ...] | None:
-    """A nontrivial rational combination of the rows summing to zero, if one exists.
+def dependency_vector(rows: Iterable[Mapping]) -> tuple[int, ...] | None:
+    """A nontrivial integer combination of the rows summing to zero, if one exists.
 
     Returns None when the rows are linearly independent.  Row i carries a
     marker column (1, i) after its own columns, keyed (0, c); the first row
@@ -54,7 +64,7 @@ def dependency_vector(rows: Iterable[Mapping]) -> tuple[Fraction, ...] | None:
         lead = _insert(marked, pivots)
         if lead[0] == 1:
             combo = pivots[lead]
-            return tuple(combo.get((1, j), Fraction(0)) for j in range(len(rows)))
+            return tuple(combo.get((1, j), 0) for j in range(len(rows)))
     return None
 
 

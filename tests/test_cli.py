@@ -410,9 +410,11 @@ def run_isolated(probe: str) -> str:
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # the Groebner cache works with os.path: pathlib would pull in urllib.parse,
+    # ipaddress, fnmatch and ntpath on every job
     probe = (
         "import sys, su2rep.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
     )
     assert run_isolated(probe) == "[]\n"
 

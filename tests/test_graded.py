@@ -14,8 +14,6 @@ from su2rep.graded import (
     monomial_degree,
     monomial_divides,
     monomial_key,
-    monomial_lcm,
-    monomial_quotient,
     mumford_c,
     parse_poly,
     render_poly,
@@ -42,8 +40,6 @@ def test_monomial_order_degree_then_alpha_heavy():
 def test_monomial_divisibility():
     assert monomial_divides((1, 0, 1), (2, 0, 1))
     assert not monomial_divides((1, 1, 0), (2, 0, 1))
-    assert monomial_lcm((2, 0, 1), (1, 1, 0)) == (2, 1, 1)
-    assert monomial_quotient((2, 1, 1), (1, 1, 0)) == (1, 0, 1)
 
 
 def test_poly_basic_arithmetic():

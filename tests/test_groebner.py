@@ -15,9 +15,7 @@ from su2rep.graded import (
     monomial_degree,
     monomial_divides,
     monomial_key,
-    monomial_lcm,
     monomial_mul,
-    monomial_quotient,
 )
 from su2rep.groebner import (
     CACHE_ENV_VAR,
@@ -36,6 +34,15 @@ from su2rep.groebner import (
     standard_monomial_dimensions,
 )
 from su2rep.series import RationalFunction
+
+
+def monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def monomial_quotient(b, a):
+    """b / a, assuming a divides b."""
+    return tuple(x - y for x, y in zip(b, a))
 
 
 def test_ideal_generators():

@@ -62,11 +62,20 @@ def test_restriction_ranks_match_sympy(checked_ranks, g):
     st.lists(
         st.dictionaries(
             st.integers(0, 6),
-            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+            # small fractions, small ints, and ints past 2^40 whose gcds and
+            # products the integer elimination must carry exactly
+            st.fractions(min_value=-4, max_value=4, max_denominator=3)
+            | st.integers(-4, 4)
+            | st.integers(2**40, 2**64)
+            | st.integers(-(2**64), -(2**40)),
             max_size=4,
         ),
         max_size=6,
-    )
+    ),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
 )
-def test_random_sparse_ranks_match_sympy(rows):
+def test_random_sparse_ranks_match_sympy(rows, scale):
+    # scaled copies of the first rows give dependencies the integer
+    # scaling of each row must keep
+    rows += [{c: scale * v for c, v in r.items()} for r in rows[:2]]
     assert exact_rank(rows) == sympy_rank(rows)

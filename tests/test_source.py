@@ -61,3 +61,26 @@ def test_hard_caps_are_defined_only_in_cli(path):
         "TOP_IDENTITY_CAP",
     ]
     assert sorted(caps) == expected
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules a module imports from."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("name", ["linalg.py", "exterior.py"])
+def test_exact_eliminations_import_nothing_from_fractions(name):
+    # ranks are taken fraction-free over Z; rows are scaled once to integers
+    path = Path(su2rep.__file__).parent / name
+    assert "fractions" not in imported_modules(ast.parse(path.read_text()))
+
+
+def test_fractions_import_is_caught():
+    tree = ast.parse("from fractions import Fraction\nimport os.path\n")
+    assert imported_modules(tree) == {"fractions", "os"}
