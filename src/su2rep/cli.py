@@ -14,6 +14,7 @@ goes to stderr).
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
@@ -701,4 +702,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    # frozen, the start-up heap goes with the process, not object by object at shutdown;
+    # not in main(), which tests call in-process: there it would pin each call's heap
+    gc.freeze()
     sys.exit(main())

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import math
@@ -85,6 +86,30 @@ def test_identical_invocations_identical_bytes():
     b = spawn("verify", "--genus", "2", "--format", "json")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# -- process entry point ------------------------------------------------------------
+
+def test_run_freezes_the_start_up_heap_before_the_command(monkeypatch):
+    # frozen objects are left to the OS at exit instead of collected one by one
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 0)
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+    finally:
+        gc.unfreeze()
+    assert exited.value.code == 0
+    assert len(seen) == 1 and seen[0] > before
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # tests and tracers call main() in-process: a freeze there would pin each
+    # call's heap for the life of the process
+    before = gc.get_freeze_count()
+    assert main(["betti", "--genus", "2"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 # -- betti ------------------------------------------------------------------------

@@ -217,23 +217,48 @@ def test_stdout_matches_golden(args, monkeypatch):
     assert _stdout_digest(args) == GOLDEN[" ".join(args)]
 
 
-def test_verify_under_optimize_matches_golden(monkeypatch):
-    # python -O strips assert statements; no check may depend on one
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def _spawned_digest(args: tuple[str, ...], *flags: str) -> str:
+    """sha256 of the stdout of `python FLAGS -m su2rep ARGS`, which must exit 0."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env.pop(CACHE_ENV_VAR, None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-O", "-m", "su2rep", "verify", "--genus", "2"],
+        [sys.executable, *flags, "-m", "su2rep", *args],
         capture_output=True,
         env=env,
         timeout=120,
     )
-    assert result.returncode == 0
-    digest = hashlib.sha256(result.stdout).hexdigest()
+    assert result.returncode == 0, result.stderr
+    return hashlib.sha256(result.stdout).hexdigest()
+
+
+def test_verify_under_optimize_matches_golden():
+    # python -O strips assert statements; no check may depend on one.  No
+    # --format, so this also holds the default format to the text digest.
+    digest = _spawned_digest(("verify", "--genus", "2"), "-O")
     assert digest == GOLDEN["verify --genus 2 --format text"]
+
+
+# The corpus above runs main() in-process.  These, with the -O case above for
+# verify, hold a spawned `python -m su2rep` (which goes through cli.run and
+# its exit) to the corpus digests, one invocation per subcommand.  The spawns
+# in test_cli.py check exit codes and compare runs with each other, not with
+# digests; they already reach verify cold, so the cases here stay cheap.
+SPAWNED = (
+    ("betti", "--genus", "3", "--route", "closed", "--format", "text"),
+    ("eq-series", "--genus", "2", "--route", "structural", "--format", "json"),
+    ("pairing", "--genus", "4", "--format", "latex"),
+    ("ring", "--k", "2", "--format", "json"),
+    ("e-basis", "--m", "3", "--format", "latex"),
+)
+
+
+@pytest.mark.parametrize("args", SPAWNED, ids=" ".join)
+def test_spawned_stdout_matches_golden(args):
+    assert _spawned_digest(args) == GOLDEN[" ".join(args)]
 
 
 if __name__ == "__main__":

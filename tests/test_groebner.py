@@ -1,4 +1,6 @@
 import hashlib
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -328,6 +330,55 @@ def test_cache_reproduces_uncached_result(tmp_path, monkeypatch):
     assert cache_file.read_text() == render_basis(uncached)
     second = relation_ideal_basis(2)  # reads it back
     assert first == uncached == second
+
+
+def test_warm_verify_parses_each_cache_file_once(tmp_path, monkeypatch):
+    from su2rep import groebner
+    from su2rep.cli import main
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    for k in range(5):  # the bases verify --genus 4 reads
+        text = render_basis(relation_ideal_basis(k))
+        (tmp_path / f"relation-ideal-{k}.txt").write_text(text)
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_basis(text)
+
+    monkeypatch.setattr(groebner, "parse_basis", counted)
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--genus", "4"]) == 0
+    assert len(parsed) == len(set(parsed)) == 5
+
+
+def test_changed_cache_file_is_read_again(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    first = relation_ideal_basis(2)  # writes the file
+    assert relation_ideal_basis(2) == first  # reads it back
+    (tmp_path / "relation-ideal-2.txt").write_text("not a basis\n")
+    with pytest.raises(ValueError):
+        relation_ideal_basis(2)
+
+
+def test_cache_file_renamed_over_in_one_tick_is_read_again(tmp_path, monkeypatch):
+    # same size and mtime as the file it replaces, renamed into place as the
+    # cache writer does: only the inode tells the two apart
+    import os
+
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    relation_ideal_basis(2)  # writes the file
+    path = tmp_path / "relation-ideal-2.txt"
+    assert relation_ideal_basis(2).source_k == 2  # reads it back
+    old = path.stat()
+    tmp = tmp_path / "retagged.tmp"
+    tmp.write_text(path.read_text().replace("k=2", "k=3", 1))
+    os.utime(tmp, ns=(old.st_atime_ns, old.st_mtime_ns))
+    os.replace(tmp, path)
+    assert path.stat().st_size == old.st_size
+    with pytest.raises(ValueError, match="tagged k=3"):
+        relation_ideal_basis(2)
 
 
 def test_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypatch):

@@ -84,3 +84,41 @@ def test_exact_eliminations_import_nothing_from_fractions(name):
 def test_fractions_import_is_caught():
     tree = ast.parse("from fractions import Fraction\nimport os.path\n")
     assert imported_modules(tree) == {"fractions", "os"}
+
+
+def freeze_owners(tree: ast.Module) -> list[str]:
+    """The innermost function around each use of `gc.freeze`, "<module>" outside one.
+
+    `from gc import freeze` counts as a use where it is imported.
+    """
+    owners = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "freeze":
+                if isinstance(child.value, ast.Name) and child.value.id == "gc":
+                    owners.append(owner)
+            elif isinstance(child, ast.ImportFrom) and child.module == "gc":
+                owners.extend(owner for alias in child.names if alias.name == "freeze")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_gc_freeze_is_called_only_in_cli_run(path):
+    # run() is the process entry point; main() and the library are also called
+    # in-process, where a freeze would pin each call's heap for good
+    expected = ["run"] if path.name == "cli.py" else []
+    assert freeze_owners(ast.parse(path.read_text())) == expected
+
+
+def test_gc_freeze_use_is_caught():
+    tree = ast.parse(
+        "import gc\ngc.freeze()\n"
+        "def main():\n    def inner():\n        gc.freeze()\n    gc.collect()\n"
+        "def run():\n    from gc import freeze\n    freeze()\n"
+    )
+    assert freeze_owners(tree) == ["<module>", "inner", "run"]
