@@ -390,21 +390,41 @@ class PairingEntry(namedtuple("PairingEntry", "left right m n value")):
     __slots__ = ()
 
 
-def pairing_matrix(g: int) -> list[PairingEntry]:
+class PairingMatrix:
+    """The pairings of one genus as a sized view, made one at a time on iteration.
+
+    values[n] is the Fraction shared by every entry of degree n, so the view
+    holds g - 1 Fractions and no entry.
+    """
+
+    __slots__ = ("genus", "values")
+
+    def __init__(self, genus: int, values: tuple[Fraction, ...]) -> None:
+        self.genus = genus
+        self.values = values
+
+    def __len__(self) -> int:
+        g = self.genus
+        return sum((3 * g - 2 - 2 * n) * (n + 1) for n in range(g - 1))
+
+    def __iter__(self):
+        for n, value in enumerate(self.values):
+            m = 3 * self.genus - 3 - 2 * n
+            for i in range(m + 1):
+                for j in range(n + 1):
+                    yield PairingEntry((i, j), (m - i, n - j), m, n, value)
+
+
+def pairing_matrix(g: int) -> PairingMatrix:
     """All admissible kappa-class pairings, ordered by (n, m, i, j).
 
     The value -(-4)^{g-1} m! b_{g-n-1} depends only on n, since m = 3g-3-2n,
-    so the entries of one degree share one Fraction.
+    so the entries of one degree share one Fraction.  The values are computed
+    here, so a failure raises before any entry is made.
     """
     _require_genus(g)
     b = b_coefficients(g - 1)
-    entries = []
-    for n in range(g - 1):
-        m = 3 * g - 3 - 2 * n
-        value = -((-4) ** (g - 1)) * factorial(m) * b[g - n - 1]
-        entries += [
-            PairingEntry((i, j), (m - i, n - j), m, n, value)
-            for i in range(m + 1)
-            for j in range(n + 1)
-        ]
-    return entries
+    return PairingMatrix(g, tuple(
+        -((-4) ** (g - 1)) * factorial(3 * g - 3 - 2 * n) * b[g - n - 1]
+        for n in range(g - 1)
+    ))

@@ -3,8 +3,9 @@
 Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
-`json.dumps(doc, sort_keys=True, indent=2)`, streamed to stdout by one writer,
-so identical invocations produce identical bytes and parsing plus
+`json.dumps(doc, sort_keys=True, indent=2)` of the document with each
+iterator listed (pairing's entries are a generator), streamed to stdout by one
+writer, so identical invocations produce identical bytes and parsing plus
 re-rendering round-trips.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
@@ -17,7 +18,7 @@ from __future__ import annotations
 import gc
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import inf
@@ -143,26 +144,18 @@ def cmd_ring(args: SimpleNamespace) -> tuple[dict, int]:
 
 def cmd_pairing(args: SimpleNamespace) -> tuple[dict, int]:
     g = args.genus
-    entries = pairing_matrix(g)
-    # the value depends only on n: one shared dict per degree
-    values = {
-        n: {"num": str(v.numerator), "den": str(v.denominator)}
-        for n, v in {e.n: e.value for e in entries}.items()
-    }
+    matrix = pairing_matrix(g)
+    # the value depends only on n: one shared dict per degree, held by the entry
+    # generator, which makes each entry as the renderer reads it
+    values = [{"num": str(v.numerator), "den": str(v.denominator)} for v in matrix.values]
     doc = {
         "command": "pairing",
         "genus": g,
         "data": {
-            "entries": [
-                {
-                    "left": e.left,
-                    "right": e.right,
-                    "m": e.m,
-                    "n": e.n,
-                    "value": values[e.n],
-                }
-                for e in entries
-            ],
+            "entries": (
+                {"left": e.left, "right": e.right, "m": e.m, "n": e.n, "value": values[e.n]}
+                for e in matrix
+            ),
         },
         "checks": [],
     }
@@ -385,7 +378,10 @@ def render_json(doc: dict, write) -> None:
 
     Streamed: a dict writes each key, then its value; a list writes each element
     as one string that `dump` builds bottom-up.  Only str, int, bool, None, dict
-    (str keys), list and tuple are written; anything else raises TypeError.
+    (str keys), list and tuple are written; anything else raises TypeError.  A
+    list reached through dicts alone (such as a field of `data`) may also be an
+    iterator, which is streamed the same way: the bytes equal `json.dumps` of the
+    document with each iterator listed.
     """
     # the C quoting function alone: the json package would load json.decoder and
     # json.scanner and compile their regexes, a few ms of a short job
@@ -395,30 +391,35 @@ def render_json(doc: dict, write) -> None:
         from json.encoder import encode_basestring_ascii as quote
 
     def dump(o, nl: str) -> str:
-        if isinstance(o, str):
-            return quote(o)
-        if o is None or o is True or o is False:
-            return "null" if o is None else "true" if o else "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
+        # exact containers first: they are most of the calls in a large document
+        t = type(o)
+        if t is not dict and t is not list and t is not tuple:
+            if isinstance(o, str):
+                return quote(o)
+            if o is None or o is True or o is False:
+                return "null" if o is None else "true" if o else "false"
+            if isinstance(o, int):
+                return int.__repr__(o)
+            if isinstance(o, dict):
+                t = dict
+            elif not isinstance(o, (list, tuple)):
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         inner = nl + "  "
         # str and int leaves inline, with no call (a bool is not `type(v) is int`)
-        if isinstance(o, dict):
+        if t is dict:
             parts = [
                 quote(k) + ": " + (quote(v) if type(v) is str else int.__repr__(v)
                                    if type(v) is int else dump(v, inner))
                 for k, v in sorted(o.items())
             ]
             brackets = "{}"
-        elif isinstance(o, (list, tuple)):
+        else:
             parts = [
                 quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
                 else dump(v, inner)
                 for v in o
             ]
             brackets = "[]"
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if not parts:
             return brackets
         return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
@@ -430,10 +431,11 @@ def render_json(doc: dict, write) -> None:
                 write(("," if i else "{") + inner + quote(k) + ": ")
                 emit(v, inner)
             write(nl + "}")
-        elif isinstance(o, (list, tuple)) and o:
+        elif isinstance(o, (list, tuple, Iterator)):
+            i = -1
             for i, v in enumerate(o):
                 write(("," if i else "[") + inner + dump(v, inner))
-            write(nl + "]")
+            write(nl + "]" if i >= 0 else "[]")
         else:
             write(dump(o, nl))
 

@@ -9,6 +9,7 @@ from su2rep import assembly
 from su2rep.assembly import (
     BettiTable,
     EMonomial,
+    PairingEntry,
     b_coefficients,
     correction_series,
     e_basis,
@@ -23,6 +24,7 @@ from su2rep.assembly import (
     tanh_over_t_series,
     top_identity_check,
 )
+from su2rep.cli import main
 from su2rep.exterior import invariant_truncated_dimensions
 from su2rep.graded import ALPHA, BETA, GAMMA, Poly, expand_abxi_monomial
 from su2rep.series import RationalFunction, TruncatedSeries, series_div
@@ -94,14 +96,15 @@ def test_b_coefficient_values():
     assert b == [1, Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945)]
 
 
+def _t_over_tanh_with_odd_term(order):
+    coeffs = list(t_over_tanh_series(order).coeffs)
+    coeffs[3] += 1
+    return TruncatedSeries(coeffs, order)
+
+
 def test_b_coefficients_rejects_nonzero_odd_coefficient(monkeypatch):
     # the check must raise, not assert: it has to survive python -O
-    def corrupted(order):
-        coeffs = list(t_over_tanh_series(order).coeffs)
-        coeffs[3] += 1
-        return TruncatedSeries(coeffs, order)
-
-    monkeypatch.setattr(assembly, "t_over_tanh_series", corrupted)
+    monkeypatch.setattr(assembly, "t_over_tanh_series", _t_over_tanh_with_odd_term)
     with pytest.raises(ArithmeticError):
         b_coefficients(3)
 
@@ -413,6 +416,43 @@ def test_pairing_matrix_expands_b_series_once(monkeypatch):
     entries = pairing_matrix(8)
     assert calls == [7]
     assert len(entries) > 1
+
+
+@pytest.mark.parametrize("g", range(2, 17))
+def test_pairing_matrix_len_counts_its_entries(g):
+    view = pairing_matrix(g)
+    assert len(view) == sum(1 for _ in view)
+
+
+def test_pairing_matrix_iterates_again():
+    view = pairing_matrix(7)
+    first = list(view)
+    assert list(view) == first
+    assert len(first) == len(view)
+
+
+def test_pairing_matrix_makes_entries_only_while_iterated(monkeypatch):
+    made = []
+
+    def counted(*fields):
+        made.append(fields)
+        return PairingEntry(*fields)
+
+    monkeypatch.setattr(assembly, "PairingEntry", counted)
+    view = pairing_matrix(8)
+    assert made == []
+    assert sum(1 for _ in view) == len(made) == len(view)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_pairing_with_an_odd_b_term_fails_before_any_output(monkeypatch, capsys, fmt):
+    # the per-degree values are computed when the view is built, so the failure
+    # comes before the renderer writes a byte
+    monkeypatch.setattr(assembly, "t_over_tanh_series", _t_over_tanh_with_odd_term)
+    assert main(["pairing", "--genus", "3", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ArithmeticError" in captured.err
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -578,10 +579,22 @@ def render_json_str(doc) -> str:
     return out.getvalue()
 
 
-@given(json_docs)
-def test_render_json_matches_json_dumps(doc):
+@given(
+    json_docs,
+    st.dictionaries(
+        any_text, st.tuples(st.lists(json_docs, max_size=3), st.booleans()), max_size=3
+    ),
+)
+def test_render_json_matches_json_dumps(doc, fields):
     # json.dumps is the reference the writer reproduces byte for byte
     assert render_json_str(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # a list field of data may be passed as an iterator: written as that list
+    streamed = {
+        "data": {k: (x for x in v) if lazy else v for k, (v, lazy) in fields.items()},
+        "doc": doc,
+    }
+    listed = {"data": {k: v for k, (v, _) in fields.items()}, "doc": doc}
+    assert render_json_str(streamed) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
 
 
 def test_render_json_empty_containers_at_depth():
@@ -589,6 +602,9 @@ def test_render_json_empty_containers_at_depth():
     assert render_json_str(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert render_json_str([]) == "[]\n"
     assert render_json_str({}) == "{}\n"
+    assert render_json_str({"data": {"a": iter(()), "b": iter([1])}}) == json.dumps(
+        {"data": {"a": [], "b": [1]}}, sort_keys=True, indent=2
+    ) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -599,24 +615,34 @@ def test_render_json_rejects_other_types(doc):
         render_json_str(doc)
 
 
+def _listed(doc: dict) -> dict:
+    """A copy of a command's document with each iterator field of data listed."""
+    data = {k: list(v) if isinstance(v, Iterator) else v for k, v in doc["data"].items()}
+    return {**doc, "data": data}
+
+
 def test_render_json_streams_the_pairing_document():
-    # the writer holds one entry at a time, never the 872 KB document
-    doc, _ = cli.cmd_pairing(argparse.Namespace(genus=16))
+    # building and writing hold one entry at a time, never the 872 KB document
     written = 0
 
     def count(s):
         nonlocal written
         written += len(s)
 
-    cli.render_json(doc, count)  # warm-up: imports and first-call allocations
+    def build_and_write():
+        doc, _ = cli.cmd_pairing(argparse.Namespace(genus=16))
+        cli.render_json(doc, count)
+
+    build_and_write()  # warm-up: imports and first-call allocations
     written = 0
     tracemalloc.start()
     try:
-        cli.render_json(doc, count)
+        build_and_write()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert written == len(json.dumps(doc, sort_keys=True, indent=2)) + 1
+    reference = _listed(cli.cmd_pairing(argparse.Namespace(genus=16))[0])
+    assert written == len(json.dumps(reference, sort_keys=True, indent=2)) + 1
     assert peak < written // 50
 
 
@@ -626,9 +652,10 @@ def test_render_json_streams_the_pairing_document():
 )
 def test_render_json_writes_at_most_one_entry_at_a_time(args):
     parsed = cli.build_parser().parse_args(args)
-    doc, _ = cli.COMMANDS[parsed.command](parsed)
     writes = []
-    cli.render_json(doc, writes.append)
+    cli.render_json(cli.COMMANDS[parsed.command](parsed)[0], writes.append)
+    # a document may be read once: the reference is a second one, listed
+    doc = _listed(cli.COMMANDS[parsed.command](parsed)[0])
     # list elements sit at most three levels deep: data's fields, then checks
     lists = [v for v in doc["data"].values() if isinstance(v, list)] + [doc["checks"]]
     longest = max(
@@ -638,6 +665,36 @@ def test_render_json_writes_at_most_one_entry_at_a_time(args):
     )
     assert "".join(writes) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert max(map(len, writes)) <= len(",\n" + " " * 6) + longest
+
+
+# Started with -S -I, this launcher stays below a job's own size.  Linux hands the
+# resident-set high-water mark of the process that execs on to the job, so a job
+# started from pytest itself would report at least pytest's size.
+RSS_LAUNCHER = """
+import os, sys
+for job in sys.argv[1:]:
+    argv = [sys.executable, "-m", "su2rep", *job.split()]
+    out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=out), 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_pairing_peak_rss_stays_at_the_start_up_floor():
+    # e-basis --m 0 imports the same modules and computes next to nothing: its
+    # peak is the floor.  A job that held the g = 16 entries would sit 1.3 MB above.
+    floor = "e-basis --m 0"
+    jobs = [floor] + [f"pairing --genus 16 --format {f}" for f in ("text", "json", "latex")]
+    launched = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", RSS_LAUNCHER, *jobs],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert launched.returncode == 0, launched.stderr
+    replies = [line.split() for line in launched.stdout.splitlines()]
+    assert [code for code, _ in replies] == ["0"] * len(jobs)
+    peak_kb = {job: int(kb) for job, (_, kb) in zip(jobs, replies)}
+    for job in jobs[1:]:
+        assert peak_kb[job] <= peak_kb[floor] + 512, peak_kb
 
 
 def test_crash_while_rendering_exits_3(capsys, monkeypatch):
