@@ -3,10 +3,10 @@
 Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
-`json.dumps(doc, sort_keys=True, indent=2)` of the document with each
-iterator listed (pairing's entries are a generator), streamed to stdout by one
-writer, so identical invocations produce identical bytes and parsing plus
-re-rendering round-trips.
+`json.dumps(doc, sort_keys=True, indent=2)` (pairing's entries, a generator,
+listed), streamed to stdout: each pairing entry by one format string, every
+other document by one generic writer, so identical invocations produce
+identical bytes and parsing plus re-rendering round-trips.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
 3 internal error (any exception, such as a corrupt cache file; the traceback
@@ -18,9 +18,9 @@ from __future__ import annotations
 import gc
 import sys
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import inf
 from types import SimpleNamespace
 
@@ -140,6 +140,16 @@ def cmd_ring(args: SimpleNamespace) -> tuple[dict, int]:
         "checks": [],
     }
     return doc, 0
+
+
+# render_json's bytes for one entry of cmd_pairing's document below (keys sorted,
+# at the depth of data.entries), after the "[" or "," that precedes it
+PAIRING_ENTRY_JSON = (
+    '%s\n      {\n        "left": [\n          %d,\n          %d\n        ],'
+    '\n        "m": %d,\n        "n": %d,'
+    '\n        "right": [\n          %d,\n          %d\n        ],'
+    '\n        "value": {\n          "den": %s,\n          "num": %s\n        }\n      }'
+)
 
 
 def cmd_pairing(args: SimpleNamespace) -> tuple[dict, int]:
@@ -376,12 +386,12 @@ def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
 def render_json(doc: dict, write) -> None:
     """Write the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
 
-    Streamed: a dict writes each key, then its value; a list writes each element
-    as one string that `dump` builds bottom-up.  Only str, int, bool, None, dict
-    (str keys), list and tuple are written; anything else raises TypeError.  A
-    list reached through dicts alone (such as a field of `data`) may also be an
-    iterator, which is streamed the same way: the bytes equal `json.dumps` of the
-    document with each iterator listed.
+    A pairing document, shaped as `cmd_pairing` builds it (its entries may be
+    any iterable), is written in its fixed layout, one `PAIRING_ENTRY_JSON`
+    format per entry.  Any other document is streamed: a dict writes each key,
+    then its value; a list writes each element as one string that `dump` builds
+    bottom-up.  Only str, int, bool, None, dict (str keys), list and tuple are
+    written; anything else raises TypeError.
     """
     # the C quoting function alone: the json package would load json.decoder and
     # json.scanner and compile their regexes, a few ms of a short job
@@ -431,7 +441,7 @@ def render_json(doc: dict, write) -> None:
                 write(("," if i else "{") + inner + quote(k) + ": ")
                 emit(v, inner)
             write(nl + "}")
-        elif isinstance(o, (list, tuple, Iterator)):
+        elif isinstance(o, (list, tuple)):
             i = -1
             for i, v in enumerate(o):
                 write(("," if i else "[") + inner + dump(v, inner))
@@ -439,14 +449,19 @@ def render_json(doc: dict, write) -> None:
         else:
             write(dump(o, nl))
 
-    emit(doc, "\n")
-    write("\n")
-
-
-@lru_cache
-def _doc_fraction(num: str, den: str) -> Fraction:
-    """A rendered document's {"num", "den"} value, parsed once per distinct pair."""
-    return Fraction(int(num), int(den))
+    if type(doc) is not dict or doc.get("command") != "pairing":
+        emit(doc, "\n")
+        write("\n")
+        return
+    write('{\n  "checks": %s,\n  "command": "pairing",\n  "data": {\n    "entries": '
+          % dump(doc["checks"], "\n  "))
+    sep = "["
+    for e in doc["data"]["entries"]:
+        (i, j), (k, l), v = e["left"], e["right"], e["value"]
+        write(PAIRING_ENTRY_JSON
+              % (sep, i, j, e["m"], e["n"], k, l, quote(v["den"]), quote(v["num"])))
+        sep = ","
+    write('%s\n  },\n  "genus": %d\n}\n' % ("[]" if sep == "[" else "\n    ]", doc["genus"]))
 
 
 def render_text(doc: dict, write) -> None:
@@ -471,13 +486,12 @@ def render_text(doc: dict, write) -> None:
         line(f"expansion to order {data['order']}: {zpoly_str(data['expansion'])}")
     elif cmd == "pairing":
         line(f"intersection pairing, genus {doc['genus']}")
-        # exponent pairs repeat across entries: format each one once
+        # exponent pairs and per-degree values repeat across entries: format each once
         kappa = cache(lambda i, j: f"kappa({monomial_str((i, j), VARIABLE_NAMES)})")
+        value = cache(lambda num, den: str(Fraction(int(num), int(den))))
         for e in data["entries"]:
-            i, j = e["left"]
-            k, l = e["right"]
-            value = _doc_fraction(e["value"]["num"], e["value"]["den"])
-            line(f"  <{kappa(i, j)}, {kappa(k, l)}> = {value}")
+            (i, j), (k, l), v = e["left"], e["right"], e["value"]
+            line(f"  <{kappa(i, j)}, {kappa(k, l)}> = {value(v['num'], v['den'])}")
     elif cmd == "eq-series":
         line(
             f"equivariant Poincare series, genus {doc['genus']} "
@@ -526,14 +540,14 @@ def render_latex(doc: dict, write) -> None:
         line(r"\begin{tabular}{llr}")
         line(r"left & right & value \\")
         line(r"\hline")
+        # the value depends only on the degree: format each one once
+        value = cache(lambda num, den: latex_rational(Fraction(int(num), int(den))))
         for e in data["entries"]:
-            i, j = e["left"]
-            k, l = e["right"]
-            value = _doc_fraction(e["value"]["num"], e["value"]["den"])
+            (i, j), (k, l), v = e["left"], e["right"], e["value"]
             line(
                 rf"$\kappa(\alpha^{{{i}}}\beta^{{{j}}})$ & "
                 rf"$\kappa(\alpha^{{{k}}}\beta^{{{l}}})$ & "
-                rf"${latex_rational(value)}$ \\"
+                rf"${value(v['num'], v['den'])}$ \\"
             )
         line(r"\end{tabular}")
     elif cmd == "eq-series":

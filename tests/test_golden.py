@@ -6,10 +6,11 @@ the anticommutative algebra and the elimination were each folded into one
 implementation (the `CAP_GRID` digests: before the verify battery became one
 table; the genus-16 pairing digests: before the pairing path computed one
 value per degree and the JSON writer replaced `json.dumps`; the k=7 ring
-digests: before Hilbert series were reduced over Z[t]).  The text and json
-digests of `e-basis --m 5` and `--m 6` were taken again when the capped
-independence check began to report a skipped record instead of none.  A
-refactor that changes a single output byte fails here.
+digests: before Hilbert series were reduced over Z[t]; the genus-12 and -14
+pairing digests: before each JSON pairing entry was written by one format
+string).  The text and json digests of `e-basis --m 5` and `--m 6` were taken
+again when the capped independence check began to report a skipped record
+instead of none.  A refactor that changes a single output byte fails here.
 
 To print the digest table for the current code (from the repository root):
 
@@ -53,8 +54,8 @@ def _invocations() -> list[tuple[str, ...]]:
         ("verify", "--genus", str(g), "--unsafe-genus-cap", str(cap))
         for g, cap in CAP_GRID
     ]
-    # the largest pairing matrix the benchmark renders (3280 entries)
-    base.append(("pairing", "--genus", "16"))
+    # the pairing matrices the benchmark renders, up to the largest (3280 entries)
+    base += [("pairing", "--genus", str(g)) for g in (12, 14, 16)]
     # the largest ring the benchmark prints (Hilbert numerator of degree 38)
     base.append(("ring", "--k", "7", "--order", "120"))
     return [args + ("--format", fmt) for args in base for fmt in FORMATS]
@@ -190,6 +191,12 @@ GOLDEN: dict[str, str] = {
     "verify --genus 6 --unsafe-genus-cap 6 --format text": "3f17f035494d4f16de9ec2ae2cac978414a142e93fe948f7dd8d47358f47b392",
     "verify --genus 6 --unsafe-genus-cap 6 --format json": "d078eb20a13a4effebb3feac2468e1952ca479ad2de1a0d0b1a7e4db939608eb",
     "verify --genus 6 --unsafe-genus-cap 6 --format latex": "c5c0740650f5c8ae1bef17ed040d04b7e53ea353b18591be3002a7aa683aab85",
+    "pairing --genus 12 --format text": "e9442568c4f2ec2fefe38db225c7fa55f84239728c65a1479b4b0c20615c0d11",
+    "pairing --genus 12 --format json": "1ad43170d60ae03c534e4b7801401cf48934f11500393b0a372d7da8bec5b7a7",
+    "pairing --genus 12 --format latex": "dbca05e2bd510773fe8cf6200f0c25383a3ccc805fbb7427363a8d15e7f859ff",
+    "pairing --genus 14 --format text": "16f3e0c7553e939b97a7d8a9dcf12d28d2c314489cd1e2b25b65d4aafd0864e6",
+    "pairing --genus 14 --format json": "c07db8bb2a32c3cc26ce9749eec2db1726ba06271138f80b9bbbcdbbed3850f2",
+    "pairing --genus 14 --format latex": "2b6cca73498c306434b4b3e9eb9cb21b4814d3eddc975c574b2e043994681595",
     "pairing --genus 16 --format text": "9603acee4f76364f715b72e3d44cbc29474f775f7f9755e3a6773c990d1078a1",
     "pairing --genus 16 --format json": "3ca94114cebab9f8d20e8dacdba1b76586bb32d8e037b83c9dd30c330d1a8e24",
     "pairing --genus 16 --format latex": "3f296d74f72b2de0e7d392efb32ee792499ef607d1d1e1d0ddc88dfa60d63baa",
@@ -207,7 +214,7 @@ def _stdout_digest(args: tuple[str, ...]) -> str:
 
 
 def test_corpus_covers_every_invocation():
-    assert len(INVOCATIONS) == 132
+    assert len(INVOCATIONS) == 138
     assert sorted(GOLDEN) == sorted(" ".join(a) for a in INVOCATIONS)
 
 
