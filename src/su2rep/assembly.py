@@ -8,9 +8,9 @@ Two independent routes are computed for each main quantity and compared:
   prim(g,l) t^{3l} Hilbert(Q[alpha,beta,gamma]/I_{g-l}).
 
 * Intersection Betti numbers: the closed form (equivariant series minus the
-  S^1 correction, a polynomial of degree 6g-6) against the structural sum
-  over l of prim(g,l) t^{3l} times the degree generating function of the
-  spanning set E_{g-l}.
+  S^1 correction, divided exactly in Z[t] to a polynomial of degree 6g-6)
+  against the structural sum over l of prim(g,l) t^{3l} times the degree
+  generating function of the spanning set E_{g-l}.
 
 The intersection pairing on kappa-classes is
   <kappa(alpha^i beta^j), kappa(alpha^k beta^l)> = -(-4)^{g-1} m! b_{g-n-1}
@@ -41,6 +41,7 @@ from .series import (
     RationalFunction,
     TruncatedSeries,
     zpoly_add,
+    zpoly_divexact,
     zpoly_mul,
     zpoly_pow,
     zpoly_scale,
@@ -58,34 +59,35 @@ def _require_genus(g: int) -> None:
 # closed-form generating functions
 # ---------------------------------------------------------------------------
 
-def equivariant_series_closed(g: int, N: int) -> TruncatedSeries:
-    """((1+t^3)^{2g} - t^{2g+2}(1+t)^{2g}) / ((1-t^2)(1-t^4)) to order N."""
-    _require_genus(g)
-    num = zpoly_sub(
+def _equivariant_numerator(g: int) -> tuple[int, ...]:
+    """(1+t^3)^{2g} - t^{2g+2}(1+t)^{2g}, over (1-t^2)(1-t^4)."""
+    return zpoly_sub(
         zpoly_pow((1, 0, 0, 1), 2 * g),
         zpoly_shift(zpoly_pow((1, 1), 2 * g), 2 * g + 2),
     )
-    den = zpoly_mul((1, 0, -1), (1, 0, 0, 0, -1))
-    return RationalFunction(num, den).expand(N)
+
+
+def _correction_numerator(g: int) -> tuple[int, ...]:
+    """(1+t)^{2g} t^{2(g-1)} (1+t^2) + (1-t)^{2g} (-t^2)^{g-1} (1-t^2), over 2(1-t^4)."""
+    plus = zpoly_mul(zpoly_pow((1, 1), 2 * g), (1, 0, 1))
+    minus = zpoly_mul(zpoly_pow((1, -1), 2 * g), (1, 0, -1))
+    return zpoly_shift(zpoly_add(plus, zpoly_scale((-1) ** (g - 1), minus)), 2 * (g - 1))
+
+
+def equivariant_series_closed(g: int, N: int) -> TruncatedSeries:
+    """((1+t^3)^{2g} - t^{2g+2}(1+t)^{2g}) / ((1-t^2)(1-t^4)) to order N."""
+    _require_genus(g)
+    return RationalFunction(_equivariant_numerator(g), (1, 0, -1, 0, -1, 0, 1)).expand(N)
 
 
 def correction_series(g: int, N: int) -> TruncatedSeries:
-    """The S^1 correction term, expanded to order N.
+    """The S^1 correction term to order N, expanded as one quotient over 2(1-t^4).
 
-    (1/2) { (1+t)^{2g} t^{2(g-1)} / (1-t^2)  +  (1-t)^{2g} (-t^2)^{g-1} / (1+t^2) }.
-    This is a dimension series, so any negative or fractional coefficient is
-    raised as an error instead of being returned.
+    (1/2) { (1+t)^{2g} t^{2(g-1)} / (1-t^2)  +  (1-t)^{2g} (-t^2)^{g-1} / (1+t^2) }
+    is a dimension series, so a negative or fractional coefficient raises.
     """
     _require_genus(g)
-    shift = 2 * (g - 1)
-    plus = RationalFunction(
-        zpoly_shift(zpoly_pow((1, 1), 2 * g), shift), (1, 0, -1)
-    )
-    minus = RationalFunction(
-        zpoly_scale((-1) ** (g - 1), zpoly_shift(zpoly_pow((1, -1), 2 * g), shift)),
-        (1, 0, 1),
-    )
-    out = Fraction(1, 2) * (plus.expand(N) + minus.expand(N))
+    out = RationalFunction(_correction_numerator(g), (2, 0, 0, 0, -2)).expand(N)
     for d, c in enumerate(out.coeffs):
         if c < 0 or c.denominator != 1:
             raise ArithmeticError(
@@ -120,33 +122,26 @@ class BettiTable:
             raise ArithmeticError("table is not palindromic")
 
 
-IP_EXTRA_ORDER = 24
-
-
 def ip_series_closed(g: int) -> BettiTable:
     """Intersection Poincaré polynomial: equivariant series minus correction.
 
-    Expanded to order 6g + 24; every coefficient above degree 6g-6 must
-    vanish and the surviving ones must be nonnegative integers, otherwise
-    this raises (such a failure would be an implementation bug, not data).
+    Over 2(1-t^2)(1-t^4) the difference has numerator 2E - (1-t^2)C, for E and C
+    the numerators above; the quotient is taken by exact division in Z[t], and no
+    series is expanded.  ArithmeticError unless the division is exact and the
+    quotient has degree 6g-6 and nonnegative coefficients (a bug, not data).
     """
     _require_genus(g)
-    N = 6 * g + IP_EXTRA_ORDER
-    diff = equivariant_series_closed(g, N) - correction_series(g, N)
-    top = 6 * g - 6
-    for d in range(top + 1, N + 1):
-        if diff.coefficient(d) != 0:
-            raise ArithmeticError(
-                f"difference fails to be a polynomial: t^{d} coefficient "
-                f"{diff.coefficient(d)}"
-            )
-    coeffs = []
-    for d in range(top + 1):
-        c = diff.coefficient(d)
-        if c < 0 or c.denominator != 1:
+    num = zpoly_sub(
+        zpoly_scale(2, _equivariant_numerator(g)),
+        zpoly_mul((1, 0, -1), _correction_numerator(g)),
+    )
+    coeffs = zpoly_divexact(num, (2, 0, -2, 0, -2, 0, 2))
+    if len(coeffs) != 6 * g - 5:
+        raise ArithmeticError(f"difference has degree {len(coeffs) - 1}, not {6 * g - 6}")
+    for d, c in enumerate(coeffs):
+        if c < 0:
             raise ArithmeticError(f"degree {d} coefficient {c} is not admissible")
-        coeffs.append(int(c))
-    return BettiTable(genus=g, coefficients=tuple(coeffs), provenance="closed-form")
+    return BettiTable(genus=g, coefficients=coeffs, provenance="closed-form")
 
 
 # ---------------------------------------------------------------------------

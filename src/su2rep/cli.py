@@ -25,7 +25,6 @@ from math import inf
 from types import SimpleNamespace
 
 from .assembly import (
-    IP_EXTRA_ORDER,
     BettiTable,
     b_coefficients,
     correction_series,
@@ -62,6 +61,9 @@ E_INDEPENDENCE_CAP = 4
 BRUTEFORCE_PRIM_CAP = 5
 RESTRICTION_CAP = 3
 TOP_IDENTITY_CAP = 4
+# 6g + this is eq-series' default order and the order the verify table's
+# equivariant and polynomiality records name
+IP_EXTRA_ORDER = 24
 
 
 class CheckRecord(namedtuple("CheckRecord", "name genus status details")):
@@ -255,7 +257,8 @@ def _check_equivariant_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
 
 def _check_polynomiality(g: int, closed: BettiTable) -> tuple[bool, str]:
     # ip_series_closed, which built the closed table, raised ArithmeticError
-    # unless equivariant minus correction vanishes in exactly these degrees
+    # unless equivariant minus correction divides exactly in Z[t] to a
+    # polynomial of degree 6g-6, which vanishes in these degrees and all above
     return True, f"degrees {6 * g - 5}..{6 * g + IP_EXTRA_ORDER} all vanish"
 
 

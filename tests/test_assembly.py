@@ -27,7 +27,15 @@ from su2rep.assembly import (
 from su2rep.cli import main
 from su2rep.exterior import invariant_truncated_dimensions
 from su2rep.graded import ALPHA, BETA, GAMMA, Poly, expand_abxi_monomial
-from su2rep.series import RationalFunction, TruncatedSeries, series_div
+from su2rep.series import (
+    RationalFunction,
+    TruncatedSeries,
+    series_div,
+    zpoly_add,
+    zpoly_pow,
+    zpoly_scale,
+    zpoly_shift,
+)
 
 
 # -- closed-form series -------------------------------------------------------
@@ -76,6 +84,51 @@ def test_ip_closed_duality_shape(g):
     assert table.coefficients[0] == 1
     assert table.is_palindromic()
     assert len(table.coefficients) == 6 * g - 5
+
+
+def windowed_correction(g, N):
+    """The correction as two Fraction series, halved and summed: the old route."""
+    shift = 2 * (g - 1)
+    plus = RationalFunction(zpoly_shift(zpoly_pow((1, 1), 2 * g), shift), (1, 0, -1))
+    minus = RationalFunction(
+        zpoly_scale((-1) ** (g - 1), zpoly_shift(zpoly_pow((1, -1), 2 * g), shift)),
+        (1, 0, 1),
+    )
+    return Fraction(1, 2) * (plus.expand(N) + minus.expand(N))
+
+
+def windowed_ip(g):
+    """Equivariant minus correction to order 6g+24, vanishing above 6g-6: the old route."""
+    N = 6 * g + 24
+    diff = equivariant_series_closed(g, N) - windowed_correction(g, N)
+    assert all(diff.coefficient(d) == 0 for d in range(6 * g - 5, N + 1))
+    return tuple(int(c) for c in diff.coeffs[: 6 * g - 5])
+
+
+@pytest.mark.parametrize("g", range(2, 17))
+def test_exact_division_matches_windowed_route(g):
+    assert ip_series_closed(g).coefficients == windowed_ip(g)
+    N = 6 * g + 24
+    assert correction_series(g, N) == windowed_correction(g, N)
+
+
+D = (1, 0, -1, 0, -1, 0, 1)  # (1-t^2)(1-t^4)
+
+
+@pytest.mark.parametrize("name, perturb, message", [
+    # (1-t^2)C grows by 1-t^2, which 2(1-t^2)(1-t^4) does not divide
+    ("_correction_numerator", lambda g: (1,), "inexact"),
+    # IP_t grows by t^{6g-4}, or loses its top term t^{6g-6}
+    ("_equivariant_numerator", lambda g: zpoly_shift(D, 6 * g - 4), "has degree"),
+    ("_equivariant_numerator", lambda g: zpoly_shift(zpoly_scale(-1, D), 6 * g - 6), "has degree"),
+    # IP_t loses t, whose coefficient is 0
+    ("_equivariant_numerator", lambda g: zpoly_shift(zpoly_scale(-1, D), 1), "coefficient -1"),
+], ids=["inexact", "above-top", "below-top", "negative"])
+def test_ip_closed_rejects_a_perturbed_numerator(monkeypatch, name, perturb, message):
+    original = getattr(assembly, name)
+    monkeypatch.setattr(assembly, name, lambda g: zpoly_add(original(g), perturb(g)))
+    with pytest.raises(ArithmeticError, match=message):
+        ip_series_closed(3)
 
 
 def test_betti_table_shape_enforced():

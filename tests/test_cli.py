@@ -318,8 +318,8 @@ def test_verify_derives_closed_table_once(monkeypatch):
 
 
 def test_verify_derives_closed_equivariant_series_once(monkeypatch):
-    # one series for both the route-agreement and the polynomiality check;
-    # ip_series_closed derives its own copy inside assembly
+    # one series for the route-agreement check; ip_series_closed divides the
+    # numerators exactly and expands no series, and polynomiality reads its table
     calls = []
     original = cli.equivariant_series_closed
 
@@ -340,27 +340,49 @@ def test_verify_derives_closed_equivariant_series_once(monkeypatch):
 
 
 def test_polynomiality_record_follows_the_vanishing_test(monkeypatch):
-    # a correction series off by one in degree 6g-5 breaks polynomiality;
-    # verify must raise or report a failure, never a pass
+    # a correction numerator that adds t^{6g-5} to the correction series breaks
+    # polynomiality; verify must raise or report a failure, never a pass
     from su2rep import assembly
-    from su2rep.series import TruncatedSeries
+    from su2rep.series import zpoly_add, zpoly_shift
 
-    original = assembly.correction_series
+    original = assembly._correction_numerator
 
-    def perturbed(g, N):
-        series = original(g, N)
-        coeffs = list(series.coeffs)
-        if N >= 6 * g - 5:
-            coeffs[6 * g - 5] += 1
-        return TruncatedSeries(coeffs, series.order)
+    def perturbed(g):
+        # the numerator is over 2(1-t^4)
+        return zpoly_add(original(g), zpoly_shift((2, 0, 0, 0, -2), 6 * g - 5))
 
-    monkeypatch.setattr(assembly, "correction_series", perturbed)
+    monkeypatch.setattr(assembly, "_correction_numerator", perturbed)
     try:
         report = cli.run_verification(3, 4)
     except ArithmeticError:
         return
     status = {c.name: c.status for c in report.checks}
     assert status["polynomiality"] == "fail"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--genus", "3"], ["correction_series", "equivariant_series_closed"]),
+    (["betti", "--genus", "3"], []),
+])
+def test_closed_series_are_expanded_at_most_once_per_command(monkeypatch, capsys, argv, expected):
+    # both series are patched in every namespace that holds them, as the traced
+    # benchmark run wraps them; the closed table itself expands neither
+    from su2rep import assembly
+
+    calls = []
+    for name in ("equivariant_series_closed", "correction_series"):
+        original = getattr(assembly, name)
+
+        def counted(g, N, name=name, original=original):
+            calls.append(name)
+            return original(g, N)
+
+        for module in (assembly, cli):
+            if getattr(module, name) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(calls) == expected
 
 
 def test_restriction_check_never_passes_on_an_all_zero_window(monkeypatch):

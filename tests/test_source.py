@@ -63,6 +63,50 @@ def test_hard_caps_are_defined_only_in_cli(path):
     assert sorted(caps) == expected
 
 
+def constant_bindings(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """The modules binding each UPPER_CASE name, once per binding.
+
+    Only bindings outside a function, class or comprehension count; an import
+    is not a binding here, since a constant is imported where it is used.
+    """
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
+              ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    owners: dict[str, list[str]] = {}
+
+    def visit(node: ast.AST, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, scopes):
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                if child.id.isupper():
+                    owners.setdefault(child.id, []).append(module)
+            visit(child, module)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return owners
+
+
+def test_each_constant_is_bound_in_one_module():
+    # a constant has one definition; every other module imports it
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    bound = constant_bindings(trees)
+    assert bound and {n: m for n, m in bound.items() if len(m) != 1} == {}
+
+
+def test_constant_bound_twice_is_caught():
+    trees = {
+        "a.py": ast.parse("A = 1\nB: int = 2\nif A:\n    C, d = 3, 4\n"),
+        "b.py": ast.parse(
+            "from a import A\nB = 3\nC += 1\nE = [F for F in ()]\n"
+            "def f():\n    G = 5\nclass K:\n    H = 6\n"
+        ),
+    }
+    assert constant_bindings(trees) == {
+        "A": ["a.py"], "B": ["a.py", "b.py"], "C": ["a.py", "b.py"], "E": ["b.py"]
+    }
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """Top-level names of the modules a module imports from."""
     modules = set()
