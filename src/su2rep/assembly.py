@@ -398,13 +398,15 @@ class PairingMatrix:
         self.genus = genus
         self.values = values
 
+    def degrees(self) -> list[tuple[int, int, Fraction]]:
+        """(n, m, value) for each degree n, where m = 3g - 3 - 2n."""
+        return [(n, 3 * self.genus - 3 - 2 * n, v) for n, v in enumerate(self.values)]
+
     def __len__(self) -> int:
-        g = self.genus
-        return sum((3 * g - 2 - 2 * n) * (n + 1) for n in range(g - 1))
+        return sum((m + 1) * (n + 1) for n, m, _ in self.degrees())
 
     def __iter__(self):
-        for n, value in enumerate(self.values):
-            m = 3 * self.genus - 3 - 2 * n
+        for n, m, value in self.degrees():
             for i in range(m + 1):
                 for j in range(n + 1):
                     yield PairingEntry((i, j), (m - i, n - j), m, n, value)

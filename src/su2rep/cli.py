@@ -3,10 +3,10 @@
 Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
-`json.dumps(doc, sort_keys=True, indent=2)` (pairing's entries, a generator,
-listed), streamed to stdout: each pairing entry by one format string, every
-other document by one generic writer, so identical invocations produce
-identical bytes and parsing plus re-rendering round-trips.
+`json.dumps(doc, sort_keys=True, indent=2)` (pairing's `PairingMatrix` view
+listed as entry dicts), streamed to stdout: each pairing entry by one format
+string, every other document by one generic writer, so identical invocations
+produce identical bytes and parsing plus re-rendering round-trips.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
 3 internal error (any exception, such as a corrupt cache file; the traceback
@@ -20,7 +20,6 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
 from math import inf
 from types import SimpleNamespace
 
@@ -144,33 +143,21 @@ def cmd_ring(args: SimpleNamespace) -> tuple[dict, int]:
     return doc, 0
 
 
-# render_json's bytes for one entry of cmd_pairing's document below (keys sorted,
-# at the depth of data.entries), after the "[" or "," that precedes it
+# render_json's bytes for one entry of cmd_pairing's document, listed (keys sorted, at
+# the depth of data.entries), in two formats: a degree's m, n and quoted den and num,
+# then each entry's preceding "[" or "," and its four exponents
 PAIRING_ENTRY_JSON = (
-    '%s\n      {\n        "left": [\n          %d,\n          %d\n        ],'
+    '%%s\n      {\n        "left": [\n          %%d,\n          %%d\n        ],'
     '\n        "m": %d,\n        "n": %d,'
-    '\n        "right": [\n          %d,\n          %d\n        ],'
+    '\n        "right": [\n          %%d,\n          %%d\n        ],'
     '\n        "value": {\n          "den": %s,\n          "num": %s\n        }\n      }'
 )
 
 
 def cmd_pairing(args: SimpleNamespace) -> tuple[dict, int]:
     g = args.genus
-    matrix = pairing_matrix(g)
-    # the value depends only on n: one shared dict per degree, held by the entry
-    # generator, which makes each entry as the renderer reads it
-    values = [{"num": str(v.numerator), "den": str(v.denominator)} for v in matrix.values]
-    doc = {
-        "command": "pairing",
-        "genus": g,
-        "data": {
-            "entries": (
-                {"left": e.left, "right": e.right, "m": e.m, "n": e.n, "value": values[e.n]}
-                for e in matrix
-            ),
-        },
-        "checks": [],
-    }
+    # the view itself: the renderers read its per-degree values and make no entry
+    doc = {"command": "pairing", "genus": g, "data": {"entries": pairing_matrix(g)}, "checks": []}
     return doc, 0
 
 
@@ -389,12 +376,13 @@ def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
 def render_json(doc: dict, write) -> None:
     """Write the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
 
-    A pairing document, shaped as `cmd_pairing` builds it (its entries may be
-    any iterable), is written in its fixed layout, one `PAIRING_ENTRY_JSON`
-    format per entry.  Any other document is streamed: a dict writes each key,
-    then its value; a list writes each element as one string that `dump` builds
-    bottom-up.  Only str, int, bool, None, dict (str keys), list and tuple are
-    written; anything else raises TypeError.
+    A pairing document, shaped as `cmd_pairing` builds it, is written in its fixed
+    layout: each degree of the view fills its m, n and value into `PAIRING_ENTRY_JSON`
+    once, and each entry formats that with its separator and four exponents.  Any
+    other document is streamed: a dict writes each key, then its value; a list
+    writes each element as one string that `dump` builds bottom-up.  Only str, int,
+    bool, None, dict (str keys), list and tuple are written; anything else raises
+    TypeError.
     """
     # the C quoting function alone: the json package would load json.decoder and
     # json.scanner and compile their regexes, a few ms of a short job
@@ -459,11 +447,12 @@ def render_json(doc: dict, write) -> None:
     write('{\n  "checks": %s,\n  "command": "pairing",\n  "data": {\n    "entries": '
           % dump(doc["checks"], "\n  "))
     sep = "["
-    for e in doc["data"]["entries"]:
-        (i, j), (k, l), v = e["left"], e["right"], e["value"]
-        write(PAIRING_ENTRY_JSON
-              % (sep, i, j, e["m"], e["n"], k, l, quote(v["den"]), quote(v["num"])))
-        sep = ","
+    for n, m, v in doc["data"]["entries"].degrees():
+        entry = PAIRING_ENTRY_JSON % (m, n, quote(str(v.denominator)), quote(str(v.numerator)))
+        for i in range(m + 1):
+            for j in range(n + 1):
+                write(entry % (sep, i, j, m - i, n - j))
+                sep = ","
     write('%s\n  },\n  "genus": %d\n}\n' % ("[]" if sep == "[" else "\n    ]", doc["genus"]))
 
 
@@ -490,11 +479,16 @@ def render_text(doc: dict, write) -> None:
     elif cmd == "pairing":
         line(f"intersection pairing, genus {doc['genus']}")
         # exponent pairs and per-degree values repeat across entries: format each once
-        kappa = cache(lambda i, j: f"kappa({monomial_str((i, j), VARIABLE_NAMES)})")
-        value = cache(lambda num, den: str(Fraction(int(num), int(den))))
-        for e in data["entries"]:
-            (i, j), (k, l), v = e["left"], e["right"], e["value"]
-            line(f"  <{kappa(i, j)}, {kappa(k, l)}> = {value(v['num'], v['den'])}")
+        g = data["entries"].genus
+        kappa = [
+            [f"kappa({monomial_str((i, j), VARIABLE_NAMES)})" for j in range(g - 1)]
+            for i in range(3 * g - 2)
+        ]
+        for n, m, v in data["entries"].degrees():
+            entry = f"  <%s, %s> = {v}\n"
+            for i in range(m + 1):
+                for j in range(n + 1):
+                    write(entry % (kappa[i][j], kappa[m - i][n - j]))
     elif cmd == "eq-series":
         line(
             f"equivariant Poincare series, genus {doc['genus']} "
@@ -544,14 +538,12 @@ def render_latex(doc: dict, write) -> None:
         line(r"left & right & value \\")
         line(r"\hline")
         # the value depends only on the degree: format each one once
-        value = cache(lambda num, den: latex_rational(Fraction(int(num), int(den))))
-        for e in data["entries"]:
-            (i, j), (k, l), v = e["left"], e["right"], e["value"]
-            line(
-                rf"$\kappa(\alpha^{{{i}}}\beta^{{{j}}})$ & "
-                rf"$\kappa(\alpha^{{{k}}}\beta^{{{l}}})$ & "
-                rf"${value(v['num'], v['den'])}$ \\"
-            )
+        for n, m, v in data["entries"].degrees():
+            entry = r"$\kappa(\alpha^{%d}\beta^{%d})$ & $\kappa(\alpha^{%d}\beta^{%d})$ & $"
+            entry += latex_rational(v) + "$ \\\\\n"
+            for i in range(m + 1):
+                for j in range(n + 1):
+                    write(entry % (i, j, m - i, n - j))
         line(r"\end{tabular}")
     elif cmd == "eq-series":
         line(rf"$P_t^{{SU(2)}} = {zpoly_str(data['coefficients'], latex=True)} + \cdots$")

@@ -192,13 +192,17 @@ def render_poly(p: Poly, latex: bool = False) -> str:
     )
 
 
-_TERM_FACTOR = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)|(?P<name>alpha|beta|gamma)(?:\^(?P<exp>\d+))?)$"
-)
+_TERM_FACTOR = None  # compiled by the first parse_poly call: most jobs parse none
 
 
 def parse_poly(text: str) -> Poly:
     """Inverse of `render_poly`; also accepts unnormalized whitespace."""
+    global _TERM_FACTOR
+    if _TERM_FACTOR is None:
+        _TERM_FACTOR = re.compile(
+            r"^(?:(?P<coeff>\d+(?:/\d+)?)|(?P<name>alpha|beta|gamma)(?:\^(?P<exp>\d+))?)$"
+        )
+    match = _TERM_FACTOR.match
     s = text.strip()
     if s == "0":
         return ZERO
@@ -216,7 +220,7 @@ def parse_poly(text: str) -> Poly:
         expo = [0, 0, 0]
         for factor in raw.split("*"):
             factor = factor.strip()
-            m = _TERM_FACTOR.match(factor)
+            m = match(factor)
             if not m:
                 raise ValueError(f"cannot parse term factor {factor!r} in {text!r}")
             if m.group("coeff"):

@@ -6,15 +6,17 @@ import math
 import subprocess
 import sys
 import tracemalloc
-from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2rep import cli
+from su2rep import assembly, cli
+from su2rep.assembly import PairingMatrix
 from su2rep.cli import main
+from su2rep.graded import VARIABLE_NAMES
+from su2rep.series import latex_rational, monomial_str
 
 RUN = [sys.executable, "-m", "su2rep"]
 
@@ -173,8 +175,25 @@ def test_pairing_g3_grouped(capsys):
 
 @pytest.mark.parametrize("g", [2, 3, 8, 16])
 def test_pairing_document_shares_one_value_dict_per_degree(g):
+    # the document holds the view, whose g - 1 per-degree values every entry shares
     doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
-    assert len({id(e["value"]) for e in doc["data"]["entries"]}) == g - 1
+    view = doc["data"]["entries"]
+    assert isinstance(view, PairingMatrix) and len(view.values) == g - 1
+    assert len({id(e.value) for e in view}) == g - 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_pairing_render_makes_no_entry(monkeypatch, capsys, fmt):
+    made = []
+
+    def counted(*fields):
+        made.append(fields)
+        return assembly.PairingEntry(*fields)
+
+    monkeypatch.setattr(assembly, "PairingEntry", counted)
+    assert main(["pairing", "--genus", "8", "--format", fmt]) == 0
+    assert capsys.readouterr().out.count("\n") > len(assembly.pairing_matrix(8))
+    assert made == []
 
 
 # -- eq-series ----------------------------------------------------------------------
@@ -631,9 +650,51 @@ def test_render_json_rejects_other_types(doc):
 
 
 def _listed(doc: dict) -> dict:
-    """A copy of a command's document with each iterator field of data listed."""
-    data = {k: list(v) if isinstance(v, Iterator) else v for k, v in doc["data"].items()}
-    return {**doc, "data": data}
+    """A command's document as `json.dumps` reads it.
+
+    Pairing's view becomes the list of entry dicts the CLI once built, one value
+    dict per degree shared by its entries; any other document is returned as is.
+    """
+    if doc["command"] != "pairing":
+        return doc
+    view = doc["data"]["entries"]
+    values = [{"num": str(v.numerator), "den": str(v.denominator)} for v in view.values]
+    entries = [
+        {"left": e.left, "right": e.right, "m": e.m, "n": e.n, "value": values[e.n]}
+        for e in view
+    ]
+    return {**doc, "data": {"entries": entries}}
+
+
+def _reference_pairing_render(doc: dict, fmt: str) -> str:
+    """A pairing document rendered entry by entry from its listed entry dicts.
+
+    This is how the renderers wrote pairing before they read the view's degrees.
+    """
+    listed = _listed(doc)
+    if fmt == "json":
+        return json.dumps(listed, sort_keys=True, indent=2) + "\n"
+    lines = []
+    for e in listed["data"]["entries"]:
+        (i, j), (k, l), v = e["left"], e["right"], e["value"]
+        value = Fraction(int(v["num"]), int(v["den"]))
+        if fmt == "text":
+            left, right = (
+                f"kappa({monomial_str(pair, VARIABLE_NAMES)})" for pair in ((i, j), (k, l))
+            )
+            lines.append(f"  <{left}, {right}> = {value}")
+        else:
+            lines.append(
+                rf"$\kappa(\alpha^{{{i}}}\beta^{{{j}}})$ & "
+                rf"$\kappa(\alpha^{{{k}}}\beta^{{{l}}})$ & "
+                rf"${latex_rational(value)}$ \\"
+            )
+    if fmt == "text":
+        lines.insert(0, f"intersection pairing, genus {doc['genus']}")
+    else:
+        lines[:0] = [r"\begin{tabular}{llr}", r"left & right & value \\", r"\hline"]
+        lines.append(r"\end{tabular}")
+    return "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("g", range(2, 17))
@@ -645,14 +706,26 @@ def test_pairing_json_matches_json_dumps_of_the_listed_document(capsys, g):
     assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("g", range(2, 17))
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_pairing_render_matches_the_entry_by_entry_reference(capsys, fmt, g):
+    # the golden text and LaTeX digests reach only g = 5; this reaches g = 16
+    code = main(["pairing", "--genus", str(g), "--format", fmt])
+    doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
+    assert code == 0
+    assert capsys.readouterr().out == _reference_pairing_render(doc, fmt)
+
+
 def test_render_json_writes_a_pairing_document_with_no_entries():
     checks = [{"name": "x", "status": "pass"}]
-    doc = {"checks": checks, "command": "pairing", "data": {"entries": []}, "genus": 2}
-    assert render_json_str(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    doc = {"checks": checks, "command": "pairing", "data": {"entries": PairingMatrix(2, ())},
+           "genus": 2}
+    listed = {**doc, "data": {"entries": []}}
+    assert render_json_str(doc) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
 
 
-def test_render_json_streams_the_pairing_document():
-    # building and writing hold one entry at a time, never the 872 KB document
+def _pairing_render_peak(fmt: str, g: int = 16) -> tuple[int, int]:
+    """(bytes written, tracemalloc peak) while building and rendering pairing at g."""
     written = 0
 
     def count(s):
@@ -660,8 +733,8 @@ def test_render_json_streams_the_pairing_document():
         written += len(s)
 
     def build_and_write():
-        doc, _ = cli.cmd_pairing(argparse.Namespace(genus=16))
-        cli.render_json(doc, count)
+        doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
+        cli.RENDERERS[fmt](doc, count)
 
     build_and_write()  # warm-up: imports and first-call allocations
     written = 0
@@ -671,9 +744,34 @@ def test_render_json_streams_the_pairing_document():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return written, peak
+
+
+def test_render_json_streams_the_pairing_document():
+    # building and writing hold one entry at a time, never the 872 KB document
+    written, peak = _pairing_render_peak("json")
     reference = _listed(cli.cmd_pairing(argparse.Namespace(genus=16))[0])
     assert written == len(json.dumps(reference, sort_keys=True, indent=2)) + 1
     assert peak < written // 50
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_render_text_and_latex_stream_the_pairing_document(fmt):
+    # a line at a time: the per-degree templates and the kappa strings, never the output
+    written, peak = _pairing_render_peak(fmt)
+    reference = _reference_pairing_render(cli.cmd_pairing(argparse.Namespace(genus=16))[0], fmt)
+    assert written == len(reference)
+    assert peak < written // 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_render_text_and_latex_write_one_pairing_entry_at_a_time(fmt):
+    writes = []
+    cli.RENDERERS[fmt](cli.cmd_pairing(argparse.Namespace(genus=6))[0], writes.append)
+    reference = _reference_pairing_render(cli.cmd_pairing(argparse.Namespace(genus=6))[0], fmt)
+    assert "".join(writes) == reference
+    # each write is one line: an entry, a header or a footer
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,18 @@
 """Static checks over the package source, standing in for a linter."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import pytest
 
 import su2rep
+from su2rep import cli
 
 MODULES = sorted(Path(su2rep.__file__).parent.glob("*.py"))
+# the traced benchmark run's table of the functions it wraps by name
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -166,3 +171,19 @@ def test_gc_freeze_use_is_caught():
         "def run():\n    from gc import freeze\n    freeze()\n"
     )
     assert freeze_owners(tree) == ["<module>", "inner", "run"]
+
+
+def test_every_name_the_traced_benchmark_wraps_resolves():
+    # a renamed function would otherwise fail only inside a traced benchmark run;
+    # layers.py is executed from its source, so nothing is written next to it
+    missing = []
+    for spec in runpy.run_path(str(LAYERS))["SPECS"]:
+        target = importlib.import_module(f"su2rep.{spec.module}")
+        for attr in spec.attr.split("."):
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(spec.name)
+    assert missing == []
+    # the renderers are wrapped per format, read from cli.RENDERERS
+    assert sorted(cli.RENDERERS) == sorted(cli.FORMAT.choices)
+    assert all(callable(render) for render in cli.RENDERERS.values())
