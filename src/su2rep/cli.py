@@ -4,9 +4,10 @@ Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
 `json.dumps(doc, sort_keys=True, indent=2)` (pairing's `PairingMatrix` view
-listed as entry dicts), streamed to stdout: each pairing entry by one format
-string, every other document by one generic writer, so identical invocations
-produce identical bytes and parsing plus re-rendering round-trips.
+listed as entry dicts): each pairing entry is one format string and one write,
+and every other document one string from one generic writer and one write, so
+identical invocations produce identical bytes and parsing plus re-rendering
+round-trips.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
 3 internal error (any exception, such as a corrupt cache file; the traceback
@@ -378,11 +379,10 @@ def render_json(doc: dict, write) -> None:
 
     A pairing document, shaped as `cmd_pairing` builds it, is written in its fixed
     layout: each degree of the view fills its m, n and value into `PAIRING_ENTRY_JSON`
-    once, and each entry formats that with its separator and four exponents.  Any
-    other document is streamed: a dict writes each key, then its value; a list
-    writes each element as one string that `dump` builds bottom-up.  Only str, int,
-    bool, None, dict (str keys), list and tuple are written; anything else raises
-    TypeError.
+    once, and each entry formats that with its separator and four exponents, one
+    write per entry.  Any other document is built whole by `dump` and written once,
+    so a crash while building it writes nothing.  Only str, int, bool, None, dict
+    (str keys), list and tuple are written; anything else raises TypeError.
     """
     # the C quoting function alone: the json package would load json.decoder and
     # json.scanner and compile their regexes, a few ms of a short job
@@ -392,57 +392,27 @@ def render_json(doc: dict, write) -> None:
         from json.encoder import encode_basestring_ascii as quote
 
     def dump(o, nl: str) -> str:
-        # exact containers first: they are most of the calls in a large document
-        t = type(o)
-        if t is not dict and t is not list and t is not tuple:
-            if isinstance(o, str):
-                return quote(o)
-            if o is None or o is True or o is False:
-                return "null" if o is None else "true" if o else "false"
-            if isinstance(o, int):
-                return int.__repr__(o)
-            if isinstance(o, dict):
-                t = dict
-            elif not isinstance(o, (list, tuple)):
-                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if isinstance(o, str):
+            return quote(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
         inner = nl + "  "
-        # str and int leaves inline, with no call (a bool is not `type(v) is int`)
-        if t is dict:
-            parts = [
-                quote(k) + ": " + (quote(v) if type(v) is str else int.__repr__(v)
-                                   if type(v) is int else dump(v, inner))
-                for k, v in sorted(o.items())
-            ]
+        if isinstance(o, dict):
+            parts = [quote(k) + ": " + dump(v, inner) for k, v in sorted(o.items())]
             brackets = "{}"
-        else:
-            parts = [
-                quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-                else dump(v, inner)
-                for v in o
-            ]
+        elif isinstance(o, (list, tuple)):
+            parts = [dump(v, inner) for v in o]
             brackets = "[]"
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if not parts:
             return brackets
         return brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
 
-    def emit(o, nl: str) -> None:
-        inner = nl + "  "
-        if isinstance(o, dict) and o:
-            for i, (k, v) in enumerate(sorted(o.items())):
-                write(("," if i else "{") + inner + quote(k) + ": ")
-                emit(v, inner)
-            write(nl + "}")
-        elif isinstance(o, (list, tuple)):
-            i = -1
-            for i, v in enumerate(o):
-                write(("," if i else "[") + inner + dump(v, inner))
-            write(nl + "]" if i >= 0 else "[]")
-        else:
-            write(dump(o, nl))
-
     if type(doc) is not dict or doc.get("command") != "pairing":
-        emit(doc, "\n")
-        write("\n")
+        write(dump(doc, "\n") + "\n")
         return
     write('{\n  "checks": %s,\n  "command": "pairing",\n  "data": {\n    "entries": '
           % dump(doc["checks"], "\n  "))

@@ -7,7 +7,7 @@ order, times a power of an optional central even variable u.  Two basis
 monomials multiply to zero when their masks meet; otherwise the key of the
 product is the union, and its sign counts the generator pairs out of order.
 
-* With no u (`truncation=None`, every exponent 0) it is the exterior algebra
+* With no u (`truncation=0`, every exponent 0) it is the exterior algebra
   on psi_1 .. psi_{2g} (each of cohomological degree 3 in the intended use).
   The distinguished class is gamma = -2 sum_{i=1..g} psi_i psi_{i+g}; the
   primitive part Prim_l is the kernel of multiplication by gamma^(g-l+1)
@@ -55,19 +55,17 @@ def _sign(a: int, b: int) -> int:
 class ExtElement:
     """Element of the algebra on odd generators and an optional central u.
 
-    `truncation` is the largest u-exponent kept, or None when there is no u
-    (terms with a positive exponent are then dropped, as for truncation 0).
-    Elements with different truncations belong to different algebras and
-    cannot be combined.
+    `truncation` is the largest u-exponent kept; 0, the default, keeps no
+    positive exponent, which is the exterior algebra with no u.  Elements with
+    different truncations belong to different algebras and cannot be combined.
     """
 
     __slots__ = ("terms", "truncation")
 
-    def __init__(self, terms: dict[Key, int], truncation: int | None = None):
+    def __init__(self, terms: dict[Key, int], truncation: int = 0):
         if any(e < 0 for _, e in terms):
             raise ValueError("negative u-exponent")
-        top = 0 if truncation is None else truncation
-        clean = {k: c for k, c in terms.items() if c and k[1] <= top}
+        clean = {k: c for k, c in terms.items() if c and k[1] <= truncation}
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "truncation", truncation)
 
@@ -79,7 +77,7 @@ class ExtElement:
         return cls({(mask((i,)), 0): 1})
 
     @classmethod
-    def scalar(cls, c: int, truncation: int | None = None) -> ExtElement:
+    def scalar(cls, c: int, truncation: int = 0) -> ExtElement:
         return cls({(0, 0): c}, truncation)
 
     def _check(self, other: ExtElement) -> None:
@@ -109,7 +107,7 @@ class ExtElement:
 
     def __mul__(self, other: ExtElement) -> ExtElement:
         self._check(other)
-        top = 0 if self.truncation is None else self.truncation
+        top = self.truncation
         out: dict[Key, int] = {}
         for (s1, e1), c1 in self.terms.items():
             for (s2, e2), c2 in other.terms.items():

@@ -774,10 +774,7 @@ def test_render_text_and_latex_write_one_pairing_entry_at_a_time(fmt):
     assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["pairing", "--genus", "6"], ["verify", "--genus", "3"], ["ring", "--k", "4"]],
-)
+@pytest.mark.parametrize("args", [["pairing", "--genus", "6"]])
 def test_render_json_writes_at_most_one_entry_at_a_time(args):
     parsed = cli.build_parser().parse_args(args)
     writes = []
@@ -793,6 +790,25 @@ def test_render_json_writes_at_most_one_entry_at_a_time(args):
     )
     assert "".join(writes) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert max(map(len, writes)) <= len(",\n" + " " * 6) + longest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["betti", "--genus", "3"],
+        ["ring", "--k", "4"],
+        ["eq-series", "--genus", "3"],
+        ["e-basis", "--m", "3"],
+        ["verify", "--genus", "3"],
+    ],
+)
+def test_every_other_json_document_is_one_write(args):
+    # only pairing's document is written piece by piece; the rest are at most 7 KB
+    parsed = cli.build_parser().parse_args(args)
+    doc = cli.COMMANDS[parsed.command](parsed)[0]
+    writes = []
+    cli.render_json(doc, writes.append)
+    assert writes == [json.dumps(doc, sort_keys=True, indent=2) + "\n"]
 
 
 # Started with -S -I, this launcher stays below a job's own size.  Linux hands the
@@ -825,15 +841,27 @@ def test_pairing_peak_rss_stays_at_the_start_up_floor():
         assert peak_kb[job] <= peak_kb[floor] + 512, peak_kb
 
 
-def test_crash_while_rendering_exits_3(capsys, monkeypatch):
-    # the writer streams, so part of the document may reach stdout first
+def test_crash_while_rendering_json_exits_3_and_writes_nothing(capsys, monkeypatch):
+    # a document other than pairing's is built whole before its one write
     doc = {"command": "betti", "genus": 2, "data": {"betti": [1, 0, {"x": 0.5}]}}
     monkeypatch.setitem(cli.COMMANDS, "betti", lambda args: (doc, 0))
     assert main(["betti", "--genus", "2", "--format", "json"]) == 3
     captured = capsys.readouterr()
-    assert captured.out.startswith('{\n  "command": "betti"')
+    assert captured.out == ""
     assert "Traceback" in captured.err
     assert "TypeError" in captured.err
+
+
+def test_crash_while_rendering_pairing_json_exits_3(capsys, monkeypatch):
+    # pairing's entries are written as they are formatted, so its head comes first
+    view = PairingMatrix(2, (object(),))
+    doc = {"command": "pairing", "genus": 2, "data": {"entries": view}, "checks": []}
+    monkeypatch.setitem(cli.COMMANDS, "pairing", lambda args: (doc, 0))
+    assert main(["pairing", "--genus", "2", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith('{\n  "checks": [],\n  "command": "pairing"')
+    assert "Traceback" in captured.err
+    assert "AttributeError" in captured.err
 
 
 @pytest.mark.parametrize(

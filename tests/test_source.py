@@ -173,11 +173,63 @@ def test_gc_freeze_use_is_caught():
     assert freeze_owners(tree) == ["<module>", "inner", "run"]
 
 
+def traced_specs() -> tuple:
+    """`SPECS`, the functions the traced benchmark run wraps by name.
+
+    layers.py is executed from its source, so nothing is written next to it.
+    """
+    return runpy.run_path(str(LAYERS))["SPECS"]
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.name` of each module-level function or class no other code reads.
+
+    A read is a name or an attribute anywhere outside the definition itself, in
+    any of the modules; an import alone is not a read.
+    """
+    defined, reads = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+            reads.append((node, names))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module.removesuffix(".py"), node))
+    return sorted(
+        f"{module}.{node.name}" for module, node in defined
+        if not any(node.name in names for other, names in reads if other is not node)
+    )
+
+
+def test_no_dead_wrappers():
+    # only the traced benchmark, which wraps functions by name, may keep one alive
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    traced = {f"{spec.module}.{spec.attr.split('.')[0]}" for spec in traced_specs()}
+    assert set(unreferenced_definitions(trees)) <= traced
+
+
+def test_unreferenced_definition_is_caught():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    trees["series.py"].body += ast.parse("def planted(n):\n    return planted(n - 1)\n").body
+    assert "series.planted" in unreferenced_definitions(trees)
+    trees = {
+        "a.py": ast.parse(
+            "def used():\n    pass\ndef called():\n    pass\n"
+            "class Ghost:\n    def used(self):\n        pass\n"
+        ),
+        "b.py": ast.parse("from .a import Ghost, used\nimport a\nused()\na.called()\n"),
+    }
+    assert unreferenced_definitions(trees) == ["a.Ghost"]
+
+
 def test_every_name_the_traced_benchmark_wraps_resolves():
-    # a renamed function would otherwise fail only inside a traced benchmark run;
-    # layers.py is executed from its source, so nothing is written next to it
+    # a renamed function would otherwise fail only inside a traced benchmark run
     missing = []
-    for spec in runpy.run_path(str(LAYERS))["SPECS"]:
+    for spec in traced_specs():
         target = importlib.import_module(f"su2rep.{spec.module}")
         for attr in spec.attr.split("."):
             target = getattr(target, attr, None)
