@@ -36,10 +36,9 @@ from .groebner import (
     relation_ideal_basis,
     standard_monomial_dimensions,
 )
-from .linalg import dependency_vector, exact_rank
+from .linalg import exact_rank
 from .series import (
     RationalFunction,
-    TruncatedSeries,
     zpoly_add,
     zpoly_divexact,
     zpoly_mul,
@@ -74,13 +73,13 @@ def _correction_numerator(g: int) -> tuple[int, ...]:
     return zpoly_shift(zpoly_add(plus, zpoly_scale((-1) ** (g - 1), minus)), 2 * (g - 1))
 
 
-def equivariant_series_closed(g: int, N: int) -> TruncatedSeries:
+def equivariant_series_closed(g: int, N: int) -> tuple[Fraction, ...]:
     """((1+t^3)^{2g} - t^{2g+2}(1+t)^{2g}) / ((1-t^2)(1-t^4)) to order N."""
     _require_genus(g)
     return RationalFunction(_equivariant_numerator(g), (1, 0, -1, 0, -1, 0, 1)).expand(N)
 
 
-def correction_series(g: int, N: int) -> TruncatedSeries:
+def correction_series(g: int, N: int) -> tuple[Fraction, ...]:
     """The S^1 correction term to order N, expanded as one quotient over 2(1-t^4).
 
     (1/2) { (1+t)^{2g} t^{2(g-1)} / (1-t^2)  +  (1-t)^{2g} (-t^2)^{g-1} / (1+t^2) }
@@ -88,7 +87,7 @@ def correction_series(g: int, N: int) -> TruncatedSeries:
     """
     _require_genus(g)
     out = RationalFunction(_correction_numerator(g), (2, 0, 0, 0, -2)).expand(N)
-    for d, c in enumerate(out.coeffs):
+    for d, c in enumerate(out):
         if c < 0 or c.denominator != 1:
             raise ArithmeticError(
                 f"correction series coefficient at degree {d} is {c}, "
@@ -148,8 +147,8 @@ def ip_series_closed(g: int) -> BettiTable:
 # t/tanh t
 # ---------------------------------------------------------------------------
 
-def t_over_tanh_series(order: int) -> TruncatedSeries:
-    """Truncated series of t/tanh t, by a recurrence over Z.
+def t_over_tanh_series(order: int) -> tuple[Fraction, ...]:
+    """Coefficients of t^0..t^order in t/tanh t, by a recurrence over Z.
 
     With t/tanh t = sum T_n t^n/n!, the t^{n+1}/(n+1)! coefficient of
     (t/tanh t) sinh t = t cosh t gives
@@ -162,11 +161,11 @@ def t_over_tanh_series(order: int) -> TruncatedSeries:
     for n in range(order + 1):
         s = sum(comb(n + 1, p) * u[p] for p in range(n % 2, n, 2))
         u[n] = (0 if n % 2 else D) - s // (n + 1)
-    return TruncatedSeries([Fraction(x, D * factorial(n)) for n, x in enumerate(u)], order)
+    return tuple(Fraction(x, D * factorial(n)) for n, x in enumerate(u))
 
 
-def tanh_over_t_series(order: int) -> TruncatedSeries:
-    """Truncated series of tanh t / t via the recurrence y' = 1 - y^2.
+def tanh_over_t_series(order: int) -> tuple[Fraction, ...]:
+    """Coefficients of t^0..t^order in tanh t / t, via the recurrence y' = 1 - y^2.
 
     Independent of `t_over_tanh_series`: with tanh t = sum A_n t^n/n!, the
     integers A_n satisfy A_{n+1} = [n = 0] - sum_p C(n, p) A_p A_{n-p}.
@@ -174,7 +173,7 @@ def tanh_over_t_series(order: int) -> TruncatedSeries:
     a = [0] * (order + 2)
     for n in range(order + 1):
         a[n + 1] = (n == 0) - sum(comb(n, p) * a[p] * a[n - p] for p in range(n + 1))
-    return TruncatedSeries([Fraction(x, factorial(d + 1)) for d, x in enumerate(a[1:])], order)
+    return tuple(Fraction(x, factorial(d + 1)) for d, x in enumerate(a[1:]))
 
 
 def b_coefficients(K: int) -> list[Fraction]:
@@ -183,11 +182,11 @@ def b_coefficients(K: int) -> list[Fraction]:
         raise ValueError("K must be nonnegative")
     s = t_over_tanh_series(2 * K)
     for d in range(1, 2 * K + 1, 2):
-        if s.coefficient(d) != 0:
+        if s[d] != 0:
             raise ArithmeticError(
-                f"t/tanh t has nonzero odd coefficient {s.coefficient(d)} at degree {d}"
+                f"t/tanh t has nonzero odd coefficient {s[d]} at degree {d}"
             )
-    return [s.coefficient(2 * k) for k in range(K + 1)]
+    return [s[2 * k] for k in range(K + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +224,13 @@ def e_basis(m: int) -> list[EMonomial]:
     return out
 
 
-def e_hilbert(m: int) -> TruncatedSeries:
-    """Degree generating function of e_basis(m); the zero series for m <= 1."""
+def e_hilbert(m: int) -> tuple[int, ...]:
+    """Counts of e_basis(m) by degree, up to its top degree; (0,) for m <= 1."""
     basis = e_basis(m)
-    order = max((e.degree for e in basis), default=0)
-    coeffs = [Fraction(0)] * (order + 1)
+    counts = [0] * (max((e.degree for e in basis), default=0) + 1)
     for e in basis:
-        coeffs[e.degree] += 1
-    return TruncatedSeries(coeffs, order)
+        counts[e.degree] += 1
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,7 @@ def ih_series_structural(g: int) -> BettiTable:
     return BettiTable(genus=g, coefficients=tuple(coeffs), provenance="structural")
 
 
-def equivariant_series_structural(g: int, N: int) -> TruncatedSeries:
+def equivariant_series_structural(g: int, N: int) -> tuple[Fraction, ...]:
     """sum_l prim(g,l) t^{3l} Hilbert(Q[alpha,beta,gamma]/I_{g-l}) to order N.
 
     The Hilbert numerators over RING_DENOMINATOR are summed, then expanded once.
@@ -277,11 +275,11 @@ def equivariant_series_structural(g: int, N: int) -> TruncatedSeries:
 class IndependenceVerdict(
     namedtuple(
         "IndependenceVerdict",
-        "m basis_size rank passed failing_degree dependency",
-        defaults=(None, None),
+        "m basis_size rank passed failing_degree",
+        defaults=(None,),
     )
 ):
-    """failing_degree (int) and dependency (tuple of ints) are None on a pass."""
+    """failing_degree, the first degree of rank below size, is None on a pass."""
 
     __slots__ = ()
 
@@ -303,8 +301,7 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
     total_rank = 0
     for degree in sorted(by_degree):
         forms = by_degree[degree]
-        rows = [p.terms for p in forms]
-        rank = exact_rank(rows)
+        rank = exact_rank([p.terms for p in forms])
         total_rank += rank
         if rank < len(forms):
             return IndependenceVerdict(
@@ -313,7 +310,6 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
                 rank=total_rank,
                 passed=False,
                 failing_degree=degree,
-                dependency=dependency_vector(rows),
             )
     return IndependenceVerdict(
         m=m, basis_size=len(basis), rank=total_rank, passed=True

@@ -20,7 +20,8 @@ product is the union, and its sign counts the generator pairs out of order.
   4 u^2, and -2 u d_i; intersecting the subalgebra they generate with the
   ideal u^{g-1} is compared degree by degree with the Z/2-invariant part
   (invariance: |subset| + u-exponent even).  Ranks are only trusted in
-  degrees <= 2(U - g), where the u-truncation cannot distort them.
+  degrees <= 2(U - g), where the u-truncation cannot distort them; the
+  default U = max(g + 4, 2g + 1) keeps degree 2(g - 1) and four above it.
 """
 
 from __future__ import annotations
@@ -174,8 +175,12 @@ def reliable_degree_window(g: int, U: int) -> int:
 
 
 def _validate_model_range(g: int, U: int | None) -> int:
-    """The u-truncation U, by default g + 4; U < g + 3 gives no useful window."""
-    U = g + 4 if U is None else U
+    """The u-truncation U, by default max(g + 4, 2g + 1); U < g + 3 is refused.
+
+    The default window, degrees 0..2(U - g), reaches past degree 2(g - 1), where
+    u^{g-1} starts; U = g + 4 alone would end it below there from g = 6 on.
+    """
+    U = max(g + 4, 2 * g + 1) if U is None else U
     if g < 2 or U < g + 3:
         raise ValueError("need g >= 2 and U >= g + 3")
     return U

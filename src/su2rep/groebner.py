@@ -352,10 +352,6 @@ def _relation_basis_computed(k: int) -> GroebnerBasis:
     return buchberger(ideal_generators(k), source_k=k)
 
 
-# path -> (inode, mtime, size) and the basis parsed from it; a rewritten file is read again
-_cache_reads: dict[str, tuple[tuple[int, int, int], GroebnerBasis]] = {}
-
-
 def relation_ideal_basis(k: int) -> GroebnerBasis:
     """Reduced basis of I_k, read from the cache directory when configured.
 
@@ -371,12 +367,8 @@ def relation_ideal_basis(k: int) -> GroebnerBasis:
     name = f"relation-ideal-{k}.txt"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
-        st = os.stat(path)
-        stamp = st.st_ino, st.st_mtime_ns, st.st_size
-        if _cache_reads.get(path, (None,))[0] != stamp:
-            with open(path) as f:
-                _cache_reads[path] = stamp, parse_basis(f.read())
-        basis = _cache_reads[path][1]
+        with open(path) as f:
+            basis = parse_basis(f.read())
         if basis.source_k != k:
             raise ValueError(f"cache file {path} is tagged k={basis.source_k}")
         return basis

@@ -1,16 +1,16 @@
-"""Exact truncated power series in t and rational functions with series expansion.
+"""Exact power series in t and rational functions with series expansion.
 
 Nothing here ever rounds.  Polynomials in t are tuples of ``int``
 coefficients, ascending, and the ``zpoly_*`` functions are their one
-arithmetic, over Z[t]; only series have coefficients in Q (``Fraction``).  A
-``TruncatedSeries`` carries an explicit truncation order, and binary
-operations truncate to the smaller of the two orders.  A
-``RationalFunction`` is a quotient of integer polynomials in t
-whose denominator has nonzero constant term, so its expansion at t = 0 is
-well defined.  It is expanded by a recurrence over Z on the coefficients
-scaled by powers of that constant term, then one division per coefficient.
-The text and LaTeX renderers for signed sums of monomials live here too,
-since every other module writes polynomials through them.
+arithmetic, over Z[t].  A series truncated at t^n is a tuple of n + 1
+``Fraction`` coefficients, index d holding that of t^d; the product of two
+truncates to the shorter.  A ``RationalFunction`` is a quotient of integer
+polynomials in t whose denominator has nonzero constant term, so its
+expansion at t = 0 is well defined.  It is expanded by a recurrence over Z
+on the coefficients scaled by powers of that constant term, then one
+division per coefficient.  The text and LaTeX renderers for signed sums of
+monomials live here too, since every other module writes polynomials
+through them.
 
 Values are immutable after construction; every operation returns a fresh
 object, so they are safe to share between concurrent callers.
@@ -183,106 +183,36 @@ def zpoly_str(a: Sequence[int], var: str = "t", latex: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# truncated series
+# truncated series, as tuples of coefficients
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries:
-    """Power series in t modulo t^(order+1), with exact rational coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if order is None:
-            if not cs:
-                raise ValueError("empty coefficient list needs an explicit order")
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs[: order + 1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls([1], order)
-
-    def coefficient(self, d: int) -> Fraction:
-        if d < 0 or d > self.order:
-            raise IndexError(f"degree {d} outside truncation order {self.order}")
-        return self.coeffs[d]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[d] + other.coeffs[d] for d in range(n + 1)], n
-        )
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[d] - other.coeffs[d] for d in range(n + 1)], n
-        )
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(self.coeffs[: n + 1]):
-            if x == 0:
-                continue
-            for j in range(n + 1 - i):
-                y = other.coeffs[j]
-                if y:
-                    out[i + j] += x * y
-        return TruncatedSeries(out, n)
-
-    def scaled(self, c) -> TruncatedSeries:
-        c = Fraction(c)
-        return TruncatedSeries([c * x for x in self.coeffs], self.order)
-
-    def __rmul__(self, c) -> TruncatedSeries:
-        if isinstance(c, TruncatedSeries):
-            return NotImplemented
-        return self.scaled(c)
-
-    def __neg__(self) -> TruncatedSeries:
-        return self.scaled(-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
-
-    def __str__(self) -> str:
-        return f"{zpoly_str(self.coeffs)} + O(t^{self.order + 1})"
+def series_mul(a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
+    """Product of two series, truncated to the shorter of their lengths."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for j in range(n - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return tuple(out)
 
 
-def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Formal quotient a/b where b has nonzero constant term."""
-    if b.coeffs[0] == 0:
+def series_div(a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
+    """Formal quotient a/b to the shorter length, where b has nonzero constant term."""
+    if b[0] == 0:
         raise ValueError("division by a series with zero constant term")
-    n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for d in range(n + 1):
-        acc = a.coeffs[d]
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for d in range(n):
+        acc = Fraction(a[d])
         for m in range(1, d + 1):
-            if b.coeffs[m]:
-                acc -= b.coeffs[m] * out[d - m]
-        out[d] = acc / b.coeffs[0]
-    return TruncatedSeries(out, n)
+            if b[m]:
+                acc -= b[m] * out[d - m]
+        out[d] = acc / b[0]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +235,8 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    def expand(self, order: int) -> TruncatedSeries:
-        """Power-series expansion at t = 0 to the given order, by a recurrence over Z.
+    def expand(self, order: int) -> tuple[Fraction, ...]:
+        """Coefficients of t^0..t^order in the expansion at t = 0, by a recurrence over Z.
 
         For the t^d coefficient c_d and d0 = den[0], u_d = c_d d0^(d+1) is the
         integer num[d] d0^d - sum_{m=1..min(d, deg den)} den[m] d0^(m-1) u_{d-m};
@@ -323,7 +253,7 @@ class RationalFunction:
             for j, c in tail:
                 acc -= c * u[d + j]
             u.append(acc)
-        return TruncatedSeries([Fraction(x, d0 ** (d + 1)) for d, x in enumerate(u[k:])], order)
+        return tuple(Fraction(x, d0 ** (d + 1)) for d, x in enumerate(u[k:]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

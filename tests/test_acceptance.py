@@ -35,7 +35,7 @@ from su2rep.groebner import (
     normal_form,
     relation_ideal_basis,
 )
-from su2rep.series import TruncatedSeries
+from su2rep.series import series_mul
 
 
 def _timed(capsys, number, description, budget, body):
@@ -95,9 +95,10 @@ def test_criterion_4_polynomiality_and_duality(capsys):
     def body():
         for g in range(2, 9):
             order = 6 * g + 24
-            diff = equivariant_series_closed(g, order) - correction_series(g, order)
+            closed = equivariant_series_closed(g, order)
+            correction = correction_series(g, order)
             for d in range(6 * g - 5, order + 1):
-                assert diff.coefficient(d) == 0
+                assert closed[d] == correction[d]
             table = ip_series_closed(g)
             table.validate()
             assert table.coefficients[0] == 1
@@ -143,7 +144,7 @@ def test_criterion_6_truncation_intersection(capsys):
             assert set(restricted) == set(invariant) == set(range(window + 1))
             for d in range(window + 1):
                 assert restricted[d] == invariant[d]
-                assert correction.coefficient(d) == restricted[d]
+                assert correction[d] == restricted[d]
 
     _timed(
         capsys,
@@ -182,8 +183,8 @@ def test_criterion_7_top_identity_and_pairing(capsys):
 def test_criterion_8_b_series(capsys):
     def body():
         order = 24
-        product = t_over_tanh_series(order) * tanh_over_t_series(order)
-        assert product == TruncatedSeries.one(order)
+        product = series_mul(t_over_tanh_series(order), tanh_over_t_series(order))
+        assert product == (1,) + (0,) * order
         b = b_coefficients(2)
         assert b[0] == 1
         assert b[1] == Fraction(1, 3)

@@ -405,22 +405,29 @@ def test_closed_series_are_expanded_at_most_once_per_command(monkeypatch, capsys
 
 
 def test_restriction_check_never_passes_on_an_all_zero_window(monkeypatch):
-    # at g=6 with the default truncation every compared entry is 0 on all
-    # three sides; agreement there compares nothing
-    from su2rep.series import TruncatedSeries
-
+    # at g=6 with U = g + 4, the old default truncation, every compared entry
+    # is 0 on all three sides; agreement there compares nothing
     def zeros(g, U=None):
         return {d: 0 for d in range(9)}
 
     monkeypatch.setattr(cli, "restriction_image_dimensions", zeros)
     monkeypatch.setattr(cli, "invariant_truncated_dimensions", zeros)
-    monkeypatch.setattr(cli, "correction_series", lambda g, N: TruncatedSeries([], N))
+    monkeypatch.setattr(cli, "correction_series", lambda g, N: (0,) * (N + 1))
     passed, details = cli._check_restriction(2, None)
     assert passed is False
     assert "all-zero window" in details
     report = cli.run_verification(2, 3)
     status = {c.name: c.status for c in report.checks}
     assert status["restriction-vs-invariant"] == "fail"
+
+
+@pytest.mark.parametrize("g", range(4, 8))  # past verify's cap
+def test_restriction_check_compares_nonzero_entries_past_the_cap(g):
+    # the default window reaches degree 2(g - 1), where u^{g-1} starts
+    passed, details = cli._check_restriction(g, None)
+    assert passed, details
+    window = 2 * g + 2
+    assert details == f"restriction, invariant, and correction agree in degrees 0..{window}"
 
 
 def test_b_series_check_passing_text():
@@ -431,14 +438,12 @@ def test_b_series_check_passing_text():
 
 
 def test_b_series_check_names_failing_product(monkeypatch):
-    from su2rep.series import TruncatedSeries
-
     original = cli.tanh_over_t_series
 
     def corrupted(order):
-        coeffs = list(original(order).coeffs)
+        coeffs = list(original(order))
         coeffs[2] += 1
-        return TruncatedSeries(coeffs, order)
+        return tuple(coeffs)
 
     monkeypatch.setattr(cli, "tanh_over_t_series", corrupted)
     passed, details = cli._check_b_series(2, None)

@@ -247,10 +247,11 @@ def test_invariant_dimensions_g2():
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])  # 4, 5 are past verify's cap
 def test_restriction_equals_invariant_in_window(g):
-    # the default truncation is U = g + 4, and its window has content
+    # the default truncation is U = max(g + 4, 2g + 1), and its window has content
+    U = max(g + 4, 2 * g + 1)
     dims = restriction_image_dimensions(g)
-    assert dims == invariant_truncated_dimensions(g, g + 4)
-    assert max(dims) == reliable_degree_window(g, g + 4) == 8
+    assert dims == invariant_truncated_dimensions(g, U)
+    assert max(dims) == reliable_degree_window(g, U) == max(8, 2 * g + 2)
     assert any(dims.values())
 
 

@@ -173,6 +173,26 @@ def test_gc_freeze_use_is_caught():
     assert freeze_owners(tree) == ["<module>", "inner", "run"]
 
 
+def assert_lines(tree: ast.Module) -> list[int]:
+    """Line of each `assert` statement, which `python -O` strips."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_assert_statements(path):
+    # a check must raise an exception of its own, so that it also runs under -O
+    assert assert_lines(ast.parse(path.read_text())) == []
+
+
+def test_assert_statement_is_caught():
+    tree = ast.parse(
+        "def f(x):\n    if x:\n        assert x > 0, x\n    return x\n"
+        "class K:\n    def g(self):\n        assert self\n"
+        "y = 'assert'\n"
+    )
+    assert assert_lines(tree) == [3, 7]
+
+
 def traced_specs() -> tuple:
     """`SPECS`, the functions the traced benchmark run wraps by name.
 
