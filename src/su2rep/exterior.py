@@ -12,16 +12,18 @@ product is the union, and its sign counts the generator pairs out of order.
   The distinguished class is gamma = -2 sum_{i=1..g} psi_i psi_{i+g}; the
   primitive part Prim_l is the kernel of multiplication by gamma^(g-l+1)
   on exterior degree l, and its dimension has the closed form
-  C(2g, l) - C(2g, l-2).
+  C(2g, l) - C(2g, l-2).  The brute force eliminates one diagonal block per
+  orbit of the symmetries of gamma on the pairs {i, i+g}.
 
 * With u truncated at exponent U (u^e = 0 for e > U) it is the Jacobian
   model on degree-1 generators d_1 .. d_{2g} and a degree-2 u.  The
   restriction images of the ring generators are w = -2 sum d_i d_{i+g},
   4 u^2, and -2 u d_i; intersecting the subalgebra they generate with the
   ideal u^{g-1} is compared degree by degree with the Z/2-invariant part
-  (invariance: |subset| + u-exponent even).  Ranks are only trusted in
-  degrees <= 2(U - g), where the u-truncation cannot distort them; the
-  default U = max(g + 4, 2g + 1) keeps degree 2(g - 1) and four above it.
+  (invariance: |subset| + u-exponent even).  Products of the images are
+  u-homogeneous, so only those in u^{g-1} are eliminated.  Ranks are only
+  trusted in degrees <= 2(U - g), where the u-truncation cannot distort them;
+  the default U = max(g + 4, 2g + 1) keeps degree 2(g - 1) and four above it.
 """
 
 from __future__ import annotations
@@ -66,16 +68,8 @@ class ExtElement:
     def __init__(self, terms: dict[Key, int], truncation: int = 0):
         if any(e < 0 for _, e in terms):
             raise ValueError("negative u-exponent")
-        clean = {k: c for k, c in terms.items() if c and k[1] <= truncation}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtElement is immutable")
-
-    @classmethod
-    def generator(cls, i: int) -> ExtElement:
-        return cls({(mask((i,)), 0): 1})
+        self.terms = {k: c for k, c in terms.items() if c and k[1] <= truncation}
+        self.truncation = truncation
 
     @classmethod
     def scalar(cls, c: int, truncation: int = 0) -> ExtElement:
@@ -84,27 +78,6 @@ class ExtElement:
     def _check(self, other: ExtElement) -> None:
         if self.truncation != other.truncation:
             raise ValueError("mixing elements of different models")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: ExtElement) -> ExtElement:
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return ExtElement(out, self.truncation)
-
-    def __neg__(self) -> ExtElement:
-        return (-1) * self
-
-    def __sub__(self, other: ExtElement) -> ExtElement:
-        return self + (-other)
-
-    def __rmul__(self, c: int) -> ExtElement:
-        if isinstance(c, ExtElement):
-            return NotImplemented
-        return ExtElement({k: c * x for k, x in self.terms.items()}, self.truncation)
 
     def __mul__(self, other: ExtElement) -> ExtElement:
         self._check(other)
@@ -127,14 +100,6 @@ class ExtElement:
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return (self.truncation, self.terms) == (other.truncation, other.terms)
-
-    def __hash__(self):
-        return hash((self.truncation, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return f"ExtElement({self.terms!r}, truncation={self.truncation!r})"
 
@@ -154,15 +119,27 @@ def prim_dimension_formula(g: int, l: int) -> int:
 
 
 def prim_dimension_bruteforce(g: int, l: int) -> int:
-    """dim ker(gamma^(g-l+1)) on exterior degree l, by exact elimination."""
+    """dim ker(gamma^(g-l+1)) on exterior degree l, by exact elimination.
+
+    Multiplying psi_S by a power of gamma only fills empty pairs {i, i+g}, so
+    the pairs S half fills, and the side filled in each, index a diagonal
+    block.  Permuting pairs, and psi_i -> psi_{i+g}, psi_{i+g} -> -psi_i in
+    one pair, fix gamma, so the C(g, h) 2^h blocks with h half-filled pairs
+    have one rank.  One block per h is eliminated: pairs 1..h filled on the
+    lower side, plus (l - h)/2 full pairs among h+1..g.
+    """
     if g < 2 or not 0 <= l <= g:
         raise ValueError("need g >= 2 and 0 <= l <= g")
-    n = 2 * g
-    power = g - l + 1
-    gamma_pow = gamma_element(g) ** power
-    domain = list(combinations(range(1, n + 1), l))
-    rows = [(ExtElement({(mask(s), 0): 1}) * gamma_pow).terms for s in domain]
-    return len(domain) - exact_rank(rows)
+    gamma_pow = gamma_element(g) ** (g - l + 1)
+    kernel = 0
+    for h in range(l % 2, l + 1, 2):
+        lower = mask(range(1, h + 1))
+        rows = []
+        for F in combinations(range(h + 1, g + 1), (l - h) // 2):
+            s = lower | mask(F) | mask(i + g for i in F)
+            rows.append((ExtElement({(s, 0): 1}) * gamma_pow).terms)
+        kernel += comb(g, h) * 2 ** h * (len(rows) - exact_rank(rows))
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +166,10 @@ def _validate_model_range(g: int, U: int | None) -> int:
 def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]:
     """Dimension, per degree, of (subalgebra generated by the images) ∩ u^{g-1}·(everything).
 
-    Reported for degrees 0 .. 2(U - g) only.
+    Reported for degrees 0 .. 2(U - g) only.  Each row w^a (4u^2)^b c u^|S| d_S
+    is one power of u, e = 2b + |S|, since w has no u; so the rows are block
+    diagonal by e, and the subalgebra meets u^{g-1} in the span of the rows
+    with e >= g - 1.  Only those are built, and ranked once per degree.
     """
     U = _validate_model_range(g, U)
     w = ExtElement(gamma_element(g).terms, U)
@@ -204,15 +184,14 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
                 if rem % 3 != 0:
                     continue
                 size = rem // 3
-                if size > 2 * g:
+                if size > 2 * g or 2 * b + size < g - 1:
                     continue
                 base = (w ** a) * (four_u2 ** b)
                 # the -2u d_i over i in s multiply, in increasing order, to c u^|s| d_s
                 c = (-2) ** size
                 for s in combinations(range(1, 2 * g + 1), size):
                     rows.append((base * ExtElement({(mask(s), size): c}, U)).terms)
-        projected = [{k: c for k, c in r.items() if k[1] < g - 1} for r in rows]
-        result[degree] = exact_rank(rows) - exact_rank(projected)
+        result[degree] = exact_rank(rows)
     return result
 
 

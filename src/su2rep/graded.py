@@ -93,9 +93,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=monomial_key)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
     def degree(self) -> int | float:
         """Weighted degree; -inf for the zero polynomial."""
         if not self.terms:

@@ -54,17 +54,6 @@ class GroebnerBasis(namedtuple("GroebnerBasis", "generators source_k", defaults=
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.generators)
 
-    def is_reduced(self) -> bool:
-        lms = self.leading_monomials()
-        for i, g in enumerate(self.generators):
-            if g.leading_coefficient() != 1:
-                return False
-            for m in g.terms:
-                for j, lm in enumerate(lms):
-                    if i != j and monomial_divides(lm, m):
-                        return False
-        return True
-
 
 def ideal_generators(k: int) -> list[Poly]:
     """The three generators c_{k+1}, c_{k+2}, c_{k+3} of I_k."""

@@ -37,6 +37,8 @@ from su2rep.groebner import (
 )
 from su2rep.series import series_mul
 
+from reduced_basis import is_reduced
+
 
 def _timed(capsys, number, description, budget, body):
     start = time.perf_counter()
@@ -136,7 +138,7 @@ def test_criterion_5_lefschetz_dimension_identity(capsys):
 
 def test_criterion_6_truncation_intersection(capsys):
     def body():
-        for g in (2, 3):
+        for g in (2, 3, 8, 12):
             restricted = restriction_image_dimensions(g)
             invariant = invariant_truncated_dimensions(g)
             window = max(restricted)
@@ -149,7 +151,7 @@ def test_criterion_6_truncation_intersection(capsys):
     _timed(
         capsys,
         6,
-        "restriction-image, invariant, and correction dimensions agree, g=2,3",
+        "restriction-image, invariant, and correction dimensions agree, g=2,3,8,12",
         1.0,
         body,
     )
@@ -221,7 +223,7 @@ def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
 
     def body():
         basis = relation_ideal_basis(12)
-        assert basis.is_reduced()
+        assert is_reduced(basis)
         assert len(basis.generators) == 92
 
     _timed(
@@ -235,13 +237,14 @@ def test_criterion_10_relation_basis_k12_uncached(capsys, monkeypatch):
 
 def test_prim_bruteforce_g7_uncapped(capsys):
     def body():
-        for l in range(8):
-            assert prim_dimension_bruteforce(7, l) == prim_dimension_formula(7, l)
+        for g in (7, 9):
+            for l in range(g + 1):
+                assert prim_dimension_bruteforce(g, l) == prim_dimension_formula(g, l)
 
     _timed(
         capsys,
         11,
-        "brute-force primitive kernels match the formula at g=7, past verify's cap",
+        "brute-force primitive kernels match the formula at g=7,9, past verify's cap",
         1.0,
         body,
     )

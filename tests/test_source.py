@@ -3,6 +3,7 @@
 import ast
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -225,11 +226,43 @@ def unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
     )
 
 
+def unreferenced_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.Class.name` of each non-dunder method or property no other code reads.
+
+    A read is an attribute of that name anywhere outside the method's own
+    definition, in any of the modules; a call through the instance, the class
+    or `self` all count.
+    """
+    reads = Counter(
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    )
+    dead = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                own = sum(
+                    isinstance(sub, ast.Attribute) and sub.attr == node.name
+                    for sub in ast.walk(node)
+                )
+                if reads[node.name] == own:
+                    dead.append(f"{module.removesuffix('.py')}.{cls.name}.{node.name}")
+    return sorted(dead)
+
+
 def test_no_dead_wrappers():
     # only the traced benchmark, which wraps functions by name, may keep one alive
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
-    traced = {f"{spec.module}.{spec.attr.split('.')[0]}" for spec in traced_specs()}
+    specs = traced_specs()
+    traced = {f"{spec.module}.{spec.attr.split('.')[0]}" for spec in specs}
     assert set(unreferenced_definitions(trees)) <= traced
+    assert set(unreferenced_methods(trees)) <= {spec.name for spec in specs}
 
 
 def test_unreferenced_definition_is_caught():
@@ -244,6 +277,28 @@ def test_unreferenced_definition_is_caught():
         "b.py": ast.parse("from .a import Ghost, used\nimport a\nused()\na.called()\n"),
     }
     assert unreferenced_definitions(trees) == ["a.Ghost"]
+
+
+def test_unreferenced_method_is_caught():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    trees["series.py"].body += ast.parse(
+        "class Planted:\n"
+        "    def planted(self, n):\n        return self.planted(n - 1)\n"
+    ).body
+    assert "series.Planted.planted" in unreferenced_methods(trees)
+    trees = {
+        "a.py": ast.parse(
+            "class K:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def used(self):\n        return self._helper()\n"
+            "    def _helper(self):\n        pass\n"
+            "    @property\n    def shown(self):\n        return 1\n"
+            "    @classmethod\n    def made(cls):\n        return cls()\n"
+            "    def ghost(self):\n        return used\n"
+        ),
+        "b.py": ast.parse("from .a import K\nK.made().used()\nprint(K().shown)\n"),
+    }
+    assert unreferenced_methods(trees) == ["a.K.ghost"]
 
 
 def test_every_name_the_traced_benchmark_wraps_resolves():
