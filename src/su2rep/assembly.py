@@ -202,9 +202,6 @@ class EMonomial(namedtuple("EMonomial", "i j k")):
     def degree(self) -> int:
         return 2 * self.i + 4 * self.j + 6 * self.k
 
-    def expand(self) -> Poly:
-        return expand_abxi_monomial(self.i, self.j, self.k)
-
 
 def e_basis(m: int) -> list[EMonomial]:
     """All (i,j,k) with i+2k <= m, j+2k <= m, and j < floor(m/2) when k = 0.
@@ -297,7 +294,7 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
     gb = relation_ideal_basis(m)
     by_degree: dict[int, list[Poly]] = {}
     for e in basis:
-        by_degree.setdefault(e.degree, []).append(normal_form(e.expand(), gb))
+        by_degree.setdefault(e.degree, []).append(normal_form(expand_abxi_monomial(*e), gb))
     total_rank = 0
     for degree in sorted(by_degree):
         forms = by_degree[degree]

@@ -17,6 +17,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .series import monomial_str, signed_sum
 
@@ -251,13 +252,14 @@ def mumford_c(n: int) -> Poly:
     return p
 
 
-def xi() -> Poly:
-    """alpha*beta + 2*gamma, the distinguished degree-6 class."""
-    return ALPHA * BETA + Fraction(2) * GAMMA
-
-
 def expand_abxi_monomial(i: int, j: int, k: int) -> Poly:
-    """alpha^i * beta^j * xi^k expanded in the monomial basis."""
+    """alpha^i * beta^j * xi^k with xi = alpha*beta + 2*gamma, by the binomial theorem.
+
+    (alpha*beta + 2*gamma)^k = sum_r C(k, r) 2^r (alpha*beta)^(k-r) gamma^r, and
+    its k + 1 terms lie on distinct monomials, so no product is taken.
+    """
     if min(i, j, k) < 0:
         raise ValueError("exponents must be nonnegative")
-    return (ALPHA ** i) * (BETA ** j) * (xi() ** k)
+    return Poly.from_valid(
+        {(i + k - r, j + k - r, r): Fraction(comb(k, r) * 2**r) for r in range(k + 1)}
+    )

@@ -125,10 +125,10 @@ def _reduce(work: dict[Key, int], reducers: Sequence[Reducer]) -> tuple[dict[Key
 _converted: tuple[tuple[Poly, ...], list[Reducer]] = ((), [])
 
 
-def normal_form(p: Poly, basis: GroebnerBasis | Sequence[Poly]) -> Poly:
+def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
     """Unique remainder of p modulo the ideal presented by a reduced basis."""
     global _converted
-    gens = basis.generators if isinstance(basis, GroebnerBasis) else tuple(basis)
+    gens = basis.generators
     cached, reducers = _converted
     if cached is not gens:
         reducers = [_reducer(_to_z(g)[0]) for g in gens if not g.is_zero()]
@@ -194,13 +194,11 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
         if r:
             add(r)
 
-    # minimalize: ascending leading monomials, drop any divisible by a kept one
-    basis.sort(key=lambda f: f[0])
-    kept: list[Reducer] = []
+    # minimalize: one generator per minimal leading monomial, the first inserted
+    first: dict[Monomial, Reducer] = {}
     for f in basis:
-        lm = f[0]
-        if not any(k[1] <= lm[1] and k[2] <= lm[2] and k[3] <= lm[3] for k, _, _ in kept):
-            kept.append(f)
+        first.setdefault(f[0][1:], f)
+    kept = [first[m] for m in _minimal(first)]
 
     # interreduce in one pass: reduction keeps a minimal basis's leading monomials,
     # and a full remainder has no term another leading monomial divides
@@ -225,30 +223,9 @@ def _minimal(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-class MonomialIdeal:
-    """Monomial ideal given by its antichain of minimal generators."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators: tuple[Monomial, ...]):
-        for i, a in enumerate(generators):
-            for j, b in enumerate(generators):
-                if i != j and monomial_divides(a, b):
-                    raise ValueError("generators must form an antichain")
-        self.generators = generators
-
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[Monomial]) -> MonomialIdeal:
-        ideal = object.__new__(cls)  # _minimal returns an antichain: skip its re-check
-        ideal.generators = _minimal(monomials)
-        return ideal
-
-    def contains(self, m: Monomial) -> bool:
-        return any(monomial_divides(g, m) for g in self.generators)
-
-
-def leading_term_ideal(basis: GroebnerBasis) -> MonomialIdeal:
-    return MonomialIdeal.from_monomials(basis.leading_monomials())
+def leading_term_ideal(basis: GroebnerBasis) -> tuple[Monomial, ...]:
+    """The leading-term ideal of basis, as its minimal monomials in ascending order."""
+    return _minimal(basis.leading_monomials())
 
 
 RING_DENOMINATOR = zpoly_mul(
@@ -286,20 +263,21 @@ def _pivot_numerator(gens: tuple[Monomial, ...]) -> dict[int, int]:
     return {d: c for d, c in out.items() if c}
 
 
-def hilbert_series_quotient(ideal: MonomialIdeal) -> RationalFunction:
+def hilbert_series_quotient(ideal: tuple[Monomial, ...]) -> RationalFunction:
     """Hilbert series of Q[alpha,beta,gamma]/ideal, weights (2, 4, 6).
 
-    The numerator over the fixed denominator (1-t^2)(1-t^4)(1-t^6) is the
-    inclusion-exclusion sum over generator subsets S of
-    (-1)^|S| t^(deg lcm S), evaluated by the pivot recursion above.
+    The ideal is given by generating monomials, such as the tuple that
+    `leading_term_ideal` returns; they need not be minimal.  The numerator over
+    the fixed denominator (1-t^2)(1-t^4)(1-t^6) is the inclusion-exclusion sum
+    over generator subsets S of (-1)^|S| t^(deg lcm S), by the pivot recursion.
     """
-    coeffs = _pivot_numerator(ideal.generators)
+    coeffs = _pivot_numerator(ideal)
     num = [coeffs.get(d, 0) for d in range(max(coeffs, default=0) + 1)]
     return RationalFunction(num, RING_DENOMINATOR)
 
 
-def standard_monomial_dimensions(ideal: MonomialIdeal, max_degree: int) -> list[int]:
-    """Count monomials outside the ideal, degree by degree up to max_degree.
+def standard_monomial_dimensions(ideal: tuple[Monomial, ...], max_degree: int) -> list[int]:
+    """Count monomials that no monomial of ideal divides, degree by degree to max_degree.
 
     Direct enumeration; an independent check of the Hilbert series expansion.
     """
@@ -308,7 +286,7 @@ def standard_monomial_dimensions(ideal: MonomialIdeal, max_degree: int) -> list[
         for j in range((max_degree - 2 * i) // 4 + 1):
             for k in range((max_degree - 2 * i - 4 * j) // 6 + 1):
                 d = 2 * i + 4 * j + 6 * k
-                if not ideal.contains((i, j, k)):
+                if not any(monomial_divides(m, (i, j, k)) for m in ideal):
                     counts[d] += 1
     return counts
 

@@ -27,6 +27,7 @@ from su2rep.assembly import (
 from su2rep.cli import main
 from su2rep.exterior import invariant_truncated_dimensions
 from su2rep.graded import ALPHA, BETA, GAMMA, expand_abxi_monomial
+from su2rep.groebner import normal_form, relation_ideal_basis
 from su2rep.series import (
     RationalFunction,
     series_div,
@@ -325,7 +326,7 @@ def test_e_basis_independence_reports_a_dependency(monkeypatch):
         d for d in sorted({e.degree for e in basis})
         if sum(e.degree == d for e in basis) >= 2
     )
-    first, second = [e.expand() for e in basis if e.degree == degree][:2]
+    first, second = [expand_abxi_monomial(*e) for e in basis if e.degree == degree][:2]
     original = assembly.normal_form
 
     def collapsing(p, gb):
@@ -340,6 +341,15 @@ def test_e_basis_independence_reports_a_dependency(monkeypatch):
     # full rank below the failing degree, one short in it, and no degree after it
     assert verdict.rank == sum(e.degree <= degree for e in basis) - 1
     assert verdict.basis_size == len(basis)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_e_basis_normal_forms_equal_product_route(m):
+    # each E_m normal form, against the expansion by Poly products it replaced
+    gb = relation_ideal_basis(m)
+    for i, j, k in e_basis(m):
+        product = ALPHA ** i * BETA ** j * (ALPHA * BETA + 2 * GAMMA) ** k
+        assert normal_form(expand_abxi_monomial(i, j, k), gb) == normal_form(product, gb)
 
 
 def test_e_basis_independence_guard():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,6 @@ from su2rep.graded import (
     mumford_c,
     parse_poly,
     render_poly,
-    xi,
 )
 
 from reduced_basis import leading_coefficient
@@ -168,7 +168,7 @@ def test_mumford_recursion_holds(n):
 
 
 def test_xi_and_abxi_expansion():
-    assert xi() == ALPHA * BETA + 2 * GAMMA
+    assert expand_abxi_monomial(0, 0, 1) == ALPHA * BETA + 2 * GAMMA
     assert expand_abxi_monomial(0, 0, 0) == ONE
     assert expand_abxi_monomial(1, 1, 0) == ALPHA * BETA
     assert expand_abxi_monomial(1, 1, 1) == (
@@ -182,6 +182,13 @@ def test_xi_and_abxi_expansion():
     )
     with pytest.raises(ValueError):
         expand_abxi_monomial(-1, 0, 0)
+
+
+def test_abxi_expansion_equals_product():
+    # the binomial expansion against the product route it replaced
+    for i, j, k in product(range(5), range(5), range(7)):
+        expected = ALPHA ** i * BETA ** j * (ALPHA * BETA + 2 * GAMMA) ** k
+        assert expand_abxi_monomial(i, j, k) == expected, (i, j, k)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6))
