@@ -11,7 +11,8 @@ round-trips.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
 3 internal error (any exception, such as a corrupt cache file; the traceback
-goes to stderr).
+goes to stderr), 141 stdout closed by its reader (128 + SIGPIPE; nothing goes
+to stderr).
 """
 
 from __future__ import annotations
@@ -673,6 +674,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         doc, exit_code = COMMANDS[args.command](args)
         # sys.stdout is looked up here, so redirect_stdout and capsys see the output
         RENDERERS[args.format](doc, sys.stdout.write)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); on devnull the exit flush cannot raise
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         # a crash, such as a corrupt cache file, must not read as a failed check
         import traceback

@@ -1,29 +1,29 @@
-"""Brute-force oracles in finite-dimensional anticommutative algebras.
+"""Brute-force oracles in the exterior algebra on psi_1 .. psi_{2g}.
 
-One sparse class, `ExtElement`, models both algebras, with integer
-coefficients.  A term is keyed by (index bitmask, u-exponent), index i at
+An element is a dict from index bitmask to `int` coefficient, index i at
 bit i-1: a product of distinct anticommuting generators in increasing
-order, times a power of an optional central even variable u.  Two basis
-monomials multiply to zero when their masks meet; otherwise the key of the
-product is the union, and its sign counts the generator pairs out of order.
+order.  Two basis monomials multiply to zero when their masks meet;
+otherwise the mask of the product is the union, and its sign counts the
+generator pairs out of order.  Both oracles rank rows psi_S gamma^a, where
+gamma = -2 sum_{i=1..g} psi_i psi_{i+g}.
 
-* With no u (`truncation=0`, every exponent 0) it is the exterior algebra
-  on psi_1 .. psi_{2g} (each of cohomological degree 3 in the intended use).
-  The distinguished class is gamma = -2 sum_{i=1..g} psi_i psi_{i+g}; the
-  primitive part Prim_l is the kernel of multiplication by gamma^(g-l+1)
-  on exterior degree l, and its dimension has the closed form
+* The primitive part Prim_l is the kernel of multiplication by
+  gamma^(g-l+1) on exterior degree l, and its dimension has the closed form
   C(2g, l) - C(2g, l-2).  The brute force eliminates one diagonal block per
   orbit of the symmetries of gamma on the pairs {i, i+g}.
 
-* With u truncated at exponent U (u^e = 0 for e > U) it is the Jacobian
-  model on degree-1 generators d_1 .. d_{2g} and a degree-2 u.  The
-  restriction images of the ring generators are w = -2 sum d_i d_{i+g},
-  4 u^2, and -2 u d_i; intersecting the subalgebra they generate with the
-  ideal u^{g-1} is compared degree by degree with the Z/2-invariant part
-  (invariance: |subset| + u-exponent even).  Products of the images are
-  u-homogeneous, so only those in u^{g-1} are eliminated.  Ranks are only
-  trusted in degrees <= 2(U - g), where the u-truncation cannot distort them;
-  the default U = max(g + 4, 2g + 1) keeps degree 2(g - 1) and four above it.
+* The Jacobian model has degree-1 generators d_1 .. d_{2g}, here the psi_i,
+  and a central degree-2 u.  The restriction images of the ring generators
+  are w = gamma, 4 u^2 and -2 u d_i; intersecting the subalgebra they
+  generate with the ideal u^{g-1} is compared degree by degree with the
+  Z/2-invariant part (invariance: |subset| + u-exponent even).  A product
+  w^a (4u^2)^b c u^|S| d_S is gamma^a d_S times the single power u^e,
+  e = 2b + |S|, scaled by the nonzero c 4^b.  Its degree is |mask| + 2e, so
+  within one degree e is fixed by the mask: dropping u and the scalar maps
+  columns one to one and rows to nonzero multiples, and the rank is that of
+  the rows psi_S gamma^a in the exterior algebra.  No u-model is needed, and
+  none truncated at u^U with U >= g + 4 would differ: in degrees up to
+  max(8, 2g + 2), e <= degree/2 <= max(4, g + 1) < U.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from itertools import combinations
 from math import comb
 
 from .linalg import exact_rank
-
-Key = tuple[int, int]
 
 
 def mask(indices: Iterable[int]) -> int:
@@ -55,60 +53,21 @@ def _sign(a: int, b: int) -> int:
     return -1 if n & 1 else 1
 
 
-class ExtElement:
-    """Element of the algebra on odd generators and an optional central u.
-
-    `truncation` is the largest u-exponent kept; 0, the default, keeps no
-    positive exponent, which is the exterior algebra with no u.  Elements with
-    different truncations belong to different algebras and cannot be combined.
-    """
-
-    __slots__ = ("terms", "truncation")
-
-    def __init__(self, terms: dict[Key, int], truncation: int = 0):
-        if any(e < 0 for _, e in terms):
-            raise ValueError("negative u-exponent")
-        self.terms = {k: c for k, c in terms.items() if c and k[1] <= truncation}
-        self.truncation = truncation
-
-    @classmethod
-    def scalar(cls, c: int, truncation: int = 0) -> ExtElement:
-        return cls({(0, 0): c}, truncation)
-
-    def _check(self, other: ExtElement) -> None:
-        if self.truncation != other.truncation:
-            raise ValueError("mixing elements of different models")
-
-    def __mul__(self, other: ExtElement) -> ExtElement:
-        self._check(other)
-        top = self.truncation
-        out: dict[Key, int] = {}
-        for (s1, e1), c1 in self.terms.items():
-            for (s2, e2), c2 in other.terms.items():
-                e = e1 + e2
-                if s1 & s2 or e > top:
-                    continue
-                key = (s1 | s2, e)
-                out[key] = out.get(key, 0) + _sign(s1, s2) * c1 * c2
-        return ExtElement(out, self.truncation)
-
-    def __pow__(self, n: int) -> ExtElement:
-        if n < 0:
-            raise ValueError("negative power")
-        result = ExtElement.scalar(1, self.truncation)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __repr__(self) -> str:
-        return f"ExtElement({self.terms!r}, truncation={self.truncation!r})"
+def psi_times(s: int, element: dict[int, int]) -> dict[int, int]:
+    """psi_s times an element; t -> s | t is one to one on the masks t missing s."""
+    return {s | t: _sign(s, t) * c for t, c in element.items() if not s & t}
 
 
-def gamma_element(g: int) -> ExtElement:
-    """-2 sum_{i=1..g} psi_i psi_{i+g}, homogeneous of exterior degree 2."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    return ExtElement({(mask((i, i + g)), 0): -2 for i in range(1, g + 1)})
+def gamma_power(g: int, p: int) -> dict[int, int]:
+    """gamma^p, by p products with gamma = -2 sum_{i=1..g} psi_i psi_{i+g}."""
+    power = {0: 1}
+    for _ in range(p):
+        product: dict[int, int] = {}
+        for i in range(1, g + 1):
+            for t, c in psi_times(mask((i, i + g)), power).items():
+                product[t] = product.get(t, 0) - 2 * c
+        power = product
+    return power
 
 
 def prim_dimension_formula(g: int, l: int) -> int:
@@ -130,51 +89,39 @@ def prim_dimension_bruteforce(g: int, l: int) -> int:
     """
     if g < 2 or not 0 <= l <= g:
         raise ValueError("need g >= 2 and 0 <= l <= g")
-    gamma_pow = gamma_element(g) ** (g - l + 1)
+    gamma_pow = gamma_power(g, g - l + 1)
     kernel = 0
     for h in range(l % 2, l + 1, 2):
         lower = mask(range(1, h + 1))
         rows = []
         for F in combinations(range(h + 1, g + 1), (l - h) // 2):
             s = lower | mask(F) | mask(i + g for i in F)
-            rows.append((ExtElement({(s, 0): 1}) * gamma_pow).terms)
+            rows.append(psi_times(s, gamma_pow))
         kernel += comb(g, h) * 2 ** h * (len(rows) - exact_rank(rows))
     return kernel
 
 
-# ---------------------------------------------------------------------------
-# truncated Jacobian model
-# ---------------------------------------------------------------------------
-
-def reliable_degree_window(g: int, U: int) -> int:
-    """Largest degree at which u-truncated ranks are trusted."""
-    return 2 * (U - g)
-
-
-def _validate_model_range(g: int, U: int | None) -> int:
-    """The u-truncation U, by default max(g + 4, 2g + 1); U < g + 3 is refused.
-
-    The default window, degrees 0..2(U - g), reaches past degree 2(g - 1), where
-    u^{g-1} starts; U = g + 4 alone would end it below there from g = 6 on.
-    """
-    U = max(g + 4, 2 * g + 1) if U is None else U
-    if g < 2 or U < g + 3:
-        raise ValueError("need g >= 2 and U >= g + 3")
-    return U
+def _window(g: int) -> int:
+    """Top degree of the Jacobian-model checks: degree 2(g - 1), where u^{g-1}
+    starts, and at least four above it."""
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+    return max(8, 2 * g + 2)
 
 
-def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]:
+def restriction_image_dimensions(g: int) -> dict[int, int]:
     """Dimension, per degree, of (subalgebra generated by the images) ∩ u^{g-1}·(everything).
 
-    Reported for degrees 0 .. 2(U - g) only.  Each row w^a (4u^2)^b c u^|S| d_S
+    Reported for degrees 0 .. max(8, 2g + 2), where e <= max(4, g + 1), so no
+    truncation of u at U >= g + 4 binds.  Each row w^a (4u^2)^b c u^|S| d_S
     is one power of u, e = 2b + |S|, since w has no u; so the rows are block
     diagonal by e, and the subalgebra meets u^{g-1} in the span of the rows
-    with e >= g - 1.  Only those are built, and ranked once per degree.
+    with e >= g - 1.  Only those are built, and ranked once per degree, each
+    as psi_S gamma^a: in one degree e is fixed by the mask, and c 4^b != 0.
+    Only a <= 2 occurs in the window, so gamma^a is built when first needed.
     """
-    U = _validate_model_range(g, U)
-    w = ExtElement(gamma_element(g).terms, U)
-    four_u2 = ExtElement({(0, 2): 4}, U)
-    window = reliable_degree_window(g, U)
+    window = _window(g)
+    gamma_powers: dict[int, dict[int, int]] = {}
     result: dict[int, int] = {}
     for degree in range(window + 1):
         rows = []
@@ -186,30 +133,25 @@ def restriction_image_dimensions(g: int, U: int | None = None) -> dict[int, int]
                 size = rem // 3
                 if size > 2 * g or 2 * b + size < g - 1:
                     continue
-                base = (w ** a) * (four_u2 ** b)
-                # the -2u d_i over i in s multiply, in increasing order, to c u^|s| d_s
-                c = (-2) ** size
+                if a not in gamma_powers:
+                    gamma_powers[a] = gamma_power(g, a)
                 for s in combinations(range(1, 2 * g + 1), size):
-                    rows.append((base * ExtElement({(mask(s), size): c}, U)).terms)
+                    rows.append(psi_times(mask(s), gamma_powers[a]))
         result[degree] = exact_rank(rows)
     return result
 
 
-def invariant_truncated_dimensions(g: int, U: int | None = None) -> dict[int, int]:
+def invariant_truncated_dimensions(g: int) -> dict[int, int]:
     """Dimension, per degree, of the invariant part of u^{g-1}·(Jacobian model).
 
     Direct parity count: subsets S with exponents e >= g-1, |S| + e even,
     contributing C(2g, |S|) in degree |S| + 2e.  Same degree window as
     `restriction_image_dimensions`.
     """
-    U = _validate_model_range(g, U)
-    window = reliable_degree_window(g, U)
+    window = _window(g)
     result = {d: 0 for d in range(window + 1)}
-    for e in range(g - 1, U + 1):
-        for size in range(0, 2 * g + 1):
-            d = size + 2 * e
-            if d > window:
-                continue
+    for e in range(g - 1, window // 2 + 1):
+        for size in range(0, min(2 * g, window - 2 * e) + 1):
             if (size + e) % 2 == 0:
-                result[d] += comb(2 * g, size)
+                result[size + 2 * e] += comb(2 * g, size)
     return result

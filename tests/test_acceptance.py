@@ -138,7 +138,7 @@ def test_criterion_5_lefschetz_dimension_identity(capsys):
 
 def test_criterion_6_truncation_intersection(capsys):
     def body():
-        for g in (2, 3, 8, 12):
+        for g in (2, 3, 8, 12, 13, 16):
             restricted = restriction_image_dimensions(g)
             invariant = invariant_truncated_dimensions(g)
             window = max(restricted)
@@ -151,7 +151,7 @@ def test_criterion_6_truncation_intersection(capsys):
     _timed(
         capsys,
         6,
-        "restriction-image, invariant, and correction dimensions agree, g=2,3,8,12",
+        "restriction-image, invariant, and correction dimensions agree, g=2,3,8,12,13,16",
         1.0,
         body,
     )

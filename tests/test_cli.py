@@ -78,6 +78,18 @@ def test_corrupt_cache_exits_3(tmp_path):
         assert "ValueError" in result.stderr
 
 
+def test_stdout_closed_by_reader_exits_141_quietly():
+    # `| head -1`: pairing at genus 16 writes about 276 KB, past any pipe buffer,
+    # so the writer meets the closed pipe; it exits as SIGPIPE would, silently
+    proc = subprocess.Popen(RUN + ["pairing", "--genus", "16"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"intersection pairing, genus 16\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""
+
+
 def test_verify_passes_exit_0():
     result = spawn("verify", "--genus", "2")
     assert result.returncode == 0

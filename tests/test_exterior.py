@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from su2rep.assembly import correction_series
 from su2rep.exterior import (
-    ExtElement,
-    gamma_element,
+    gamma_power,
     invariant_truncated_dimensions,
     mask,
     prim_dimension_bruteforce,
     prim_dimension_formula,
-    reliable_degree_window,
+    psi_times,
     restriction_image_dimensions,
 )
 from su2rep.linalg import dependency_vector, exact_rank
+
+from ext_model import ExtElement, gamma_element
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -134,17 +135,22 @@ def build(idxs):
     return e
 
 
-@given(st.lists(st.integers(1, 6), max_size=6))
-def test_merge_sign_matches_transposition_count(idxs):
-    # the oracle counts the inversions of the index list directly
-    p = build(idxs)
-    if len(set(idxs)) < len(idxs):
-        assert p.terms == {}
+@given(
+    st.lists(st.integers(1, 6), max_size=6, unique=True),
+    st.lists(st.integers(1, 6), max_size=6, unique=True),
+)
+def test_merge_sign_matches_transposition_count(A, B):
+    # psi_A psi_B with each side in increasing order; the oracle counts the
+    # inversions of the concatenated index list directly
+    p = psi_times(mask(A), {mask(B): 1})
+    if set(A) & set(B):
+        assert p == {}
     else:
+        idxs = sorted(A) + sorted(B)
         inversions = sum(
             1 for x in range(len(idxs)) for y in range(x + 1, len(idxs)) if idxs[x] > idxs[y]
         )
-        assert p.terms == {(mask(idxs), 0): (-1) ** inversions}
+        assert p == {mask(idxs): (-1) ** inversions}
 
 
 @given(
@@ -164,6 +170,14 @@ def test_gamma_element_values():
     assert (gamma_element(3) ** 4).terms == {}
     with pytest.raises(ValueError):
         gamma_element(1)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_gamma_power_matches_reference(g):
+    for p in range(g + 2):
+        reference = (gamma_element(g) ** p).terms
+        assert gamma_power(g, p) == {s: c for (s, _), c in reference.items()}
+        assert all(type(c) is int for c in gamma_power(g, p).values())
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -275,23 +289,35 @@ def test_invariant_dimensions_g2():
     }
 
 
+def reference_restriction_rows(g, U, degree):
+    """Every product w^a (4u^2)^b c u^|S| d_S of the images in one degree, in the
+    u-model truncated at U."""
+    w = ExtElement(gamma_element(g).terms, U)
+    four_u2 = ExtElement({(0, 2): 4}, U)
+    rows = []
+    for a in range(0, min(g, degree // 2) + 1):
+        for b in range(0, (degree - 2 * a) // 4 + 1):
+            rem = degree - 2 * a - 4 * b
+            if rem % 3 == 0 and rem // 3 <= 2 * g:
+                size = rem // 3
+                base = (w ** a) * (four_u2 ** b)
+                for s in combinations(range(1, 2 * g + 1), size):
+                    d_s = ExtElement({(mask(s), size): (-2) ** size}, U)
+                    rows.append((base * d_s).terms)
+    return rows
+
+
+def default_truncation(g):
+    """The u-truncation whose degree window 0..2(U - g) is max(8, 2g + 2)."""
+    return max(g + 4, 2 * g + 1)
+
+
 def reference_restriction_dimensions(g, U):
     """Reference for `restriction_image_dimensions`: every product of the images
     in each degree, ranked once whole and once with its part in u^{g-1} cut off."""
-    w = ExtElement(gamma_element(g).terms, U)
-    four_u2 = ExtElement({(0, 2): 4}, U)
     result = {}
-    for degree in range(reliable_degree_window(g, U) + 1):
-        rows = []
-        for a in range(0, min(g, degree // 2) + 1):
-            for b in range(0, (degree - 2 * a) // 4 + 1):
-                rem = degree - 2 * a - 4 * b
-                if rem % 3 == 0 and rem // 3 <= 2 * g:
-                    size = rem // 3
-                    base = (w ** a) * (four_u2 ** b)
-                    for s in combinations(range(1, 2 * g + 1), size):
-                        d_s = ExtElement({(mask(s), size): (-2) ** size}, U)
-                        rows.append((base * d_s).terms)
+    for degree in range(2 * (U - g) + 1):
+        rows = reference_restriction_rows(g, U, degree)
         projected = [{k: c for k, c in r.items() if k[1] < g - 1} for r in rows]
         result[degree] = exact_rank(rows) - exact_rank(projected)
     return result
@@ -300,20 +326,38 @@ def reference_restriction_dimensions(g, U):
 @pytest.mark.parametrize(
     "g, U",
     [(g, U) for g in range(2, 7) for U in (g + 3, g + 4, 2 * g + 1, 2 * g + 3)]
-    + [(7, 15)],  # the default U at g = 7
+    + [(7, 15), (8, 17)],  # the default U at g = 7, 8
 )
 def test_restriction_matches_two_rank_reference(g, U):
-    assert restriction_image_dimensions(g, U) == reference_restriction_dimensions(g, U)
+    # the reference's window is 0..2(U - g); no truncation changes a rank there,
+    # and at the default U the windows are the same
+    dims = restriction_image_dimensions(g)
+    reference = reference_restriction_dimensions(g, U)
+    shared = set(dims) & set(reference)
+    assert {d: dims[d] for d in shared} == {d: reference[d] for d in shared}
+    if U == default_truncation(g):
+        assert dims == reference
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_reference_rows_carry_one_u_exponent_per_mask(g):
+    # what lets the oracle drop u: in one degree a mask fixes its u-exponent
+    U = default_truncation(g)
+    for degree in range(2 * (U - g) + 1):
+        exponents = {}
+        for row in reference_restriction_rows(g, U, degree):
+            for s, e in row:
+                exponents.setdefault(s, set()).add(e)
+        assert all(len(es) == 1 for es in exponents.values())
 
 
 @pytest.mark.parametrize("g", range(2, 13))  # past verify's cap from 4
 def test_restriction_equals_invariant_in_window(g):
-    # the default truncation is U = max(g + 4, 2g + 1), and its window has content;
-    # the correction series is a third route to the same dimensions
-    U = max(g + 4, 2 * g + 1)
+    # the window has content; the correction series is a third route to the
+    # same dimensions
     dims = restriction_image_dimensions(g)
-    assert dims == invariant_truncated_dimensions(g, U)
-    assert max(dims) == reliable_degree_window(g, U) == max(8, 2 * g + 2)
+    assert dims == invariant_truncated_dimensions(g)
+    assert max(dims) == max(8, 2 * g + 2)
     assert any(dims.values())
     correction = correction_series(g, max(dims))
     assert {d: correction[d] for d in dims} == dims
@@ -323,11 +367,7 @@ def test_model_range_validation():
     with pytest.raises(ValueError):
         restriction_image_dimensions(1)
     with pytest.raises(ValueError):
-        restriction_image_dimensions(2, U=3)
-    with pytest.raises(ValueError):
         invariant_truncated_dimensions(1)
-    with pytest.raises(ValueError):
-        invariant_truncated_dimensions(3, U=5)
 
 
 def test_low_degrees_vanish_below_u_power_floor():
