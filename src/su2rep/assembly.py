@@ -96,6 +96,10 @@ def correction_series(g: int, N: int) -> tuple[Fraction, ...]:
     return out
 
 
+class DualityError(ArithmeticError):
+    """A Betti table without Poincaré duality's shape: leading 1, nonnegative, palindromic."""
+
+
 class BettiTable:
     """Intersection Betti numbers for degrees 0..6g-6, tagged by route."""
 
@@ -114,11 +118,11 @@ class BettiTable:
     def validate(self) -> None:
         """Poincaré-duality shape: leading 1, nonnegative, palindromic."""
         if self.coefficients[0] != 1:
-            raise ArithmeticError("degree-0 coefficient must be 1")
+            raise DualityError("degree-0 coefficient must be 1")
         if any(c < 0 for c in self.coefficients):
-            raise ArithmeticError("negative Betti number")
+            raise DualityError("negative Betti number")
         if not self.is_palindromic():
-            raise ArithmeticError("table is not palindromic")
+            raise DualityError("table is not palindromic")
 
 
 def ip_series_closed(g: int) -> BettiTable:
@@ -127,7 +131,8 @@ def ip_series_closed(g: int) -> BettiTable:
     Over 2(1-t^2)(1-t^4) the difference has numerator 2E - (1-t^2)C, for E and C
     the numerators above; the quotient is taken by exact division in Z[t], and no
     series is expanded.  ArithmeticError unless the division is exact and the
-    quotient has degree 6g-6 and nonnegative coefficients (a bug, not data).
+    quotient has degree 6g-6, then DualityError for a negative coefficient (a bug,
+    not data).
     """
     _require_genus(g)
     num = zpoly_sub(
@@ -139,7 +144,7 @@ def ip_series_closed(g: int) -> BettiTable:
         raise ArithmeticError(f"difference has degree {len(coeffs) - 1}, not {6 * g - 6}")
     for d, c in enumerate(coeffs):
         if c < 0:
-            raise ArithmeticError(f"degree {d} coefficient {c} is not admissible")
+            raise DualityError(f"degree {d} coefficient {c} is not admissible")
     return BettiTable(genus=g, coefficients=coeffs, provenance="closed-form")
 
 

@@ -4,7 +4,8 @@ Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
 command renders one document in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
 `json.dumps(doc, sort_keys=True, indent=2)` (pairing's `PairingMatrix` view
-listed as entry dicts): each pairing entry is one format string and one write,
+listed as entry dicts, ring's basis `Poly`s as their `render_poly` strings):
+each pairing entry is one format string and one write,
 and every other document one string from one generic writer and one write, so
 identical invocations produce identical bytes and parsing plus re-rendering
 round-trips.
@@ -18,6 +19,7 @@ to stderr).
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
@@ -27,6 +29,7 @@ from types import SimpleNamespace
 
 from .assembly import (
     BettiTable,
+    DualityError,
     b_coefficients,
     correction_series,
     e_basis,
@@ -47,7 +50,7 @@ from .exterior import (
     prim_dimension_formula,
     restriction_image_dimensions,
 )
-from .graded import VARIABLE_NAMES, parse_poly, render_poly
+from .graded import VARIABLE_NAMES, Poly, render_poly
 from .groebner import (
     hilbert_series_quotient,
     leading_term_ideal,
@@ -91,11 +94,18 @@ class VerificationReport(namedtuple("VerificationReport", "genus checks")):
 
 def cmd_betti(args: SimpleNamespace) -> tuple[dict, int]:
     g = args.genus
-    table = (
-        ip_series_closed(g)
-        if args.route == "closed"
-        else ih_series_structural(g)
-    )
+    if args.route == "structural":
+        table = ih_series_structural(g)
+    else:
+        try:
+            table = ip_series_closed(g)
+        except ArithmeticError as exc:
+            # the closed route failed its own test: no table and a failed check, not a crash
+            name = "poincare-duality" if isinstance(exc, DualityError) else "polynomiality"
+            data = {"route": "closed-form", "betti": None, "top_degree": 6 * g - 6,
+                    "total_dimension": None}
+            checks = [CheckRecord(name, g, "fail", str(exc))._asdict()]
+            return {"command": "betti", "genus": g, "data": data, "checks": checks}, 1
     palindromic = table.is_palindromic()
     doc = {
         "command": "betti",
@@ -131,7 +141,8 @@ def cmd_ring(args: SimpleNamespace) -> tuple[dict, int]:
         "genus": None,
         "data": {
             "k": k,
-            "basis": [render_poly(g) for g in basis.generators],
+            # the Polys themselves: each renderer writes them in its own form
+            "basis": basis.generators,
             "leading_monomials": [
                 monomial_str(m, VARIABLE_NAMES) for m in basis.leading_monomials()
             ],
@@ -213,7 +224,8 @@ def cmd_e_basis(args: SimpleNamespace) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# verify: each check returns (passed, details) from the genus and the closed table
+# verify: each check returns (passed, details) from the genus and the closed table,
+# or the ArithmeticError that ip_series_closed raised in its place
 # ---------------------------------------------------------------------------
 
 def _first_mismatch(*columns) -> tuple[int, tuple] | None:
@@ -224,7 +236,11 @@ def _first_mismatch(*columns) -> tuple[int, tuple] | None:
     return None
 
 
-def _check_intersection_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
+def _check_intersection_routes(
+    g: int, closed: BettiTable | ArithmeticError
+) -> tuple[bool, str]:
+    if isinstance(closed, ArithmeticError):
+        return False, f"no closed table: {closed}"
     bad = _first_mismatch(closed.coefficients, ih_series_structural(g).coefficients)
     if bad:
         d, (a, b) = bad
@@ -244,17 +260,24 @@ def _check_equivariant_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
     return True, f"series agree to order {N}"
 
 
-def _check_polynomiality(g: int, closed: BettiTable) -> tuple[bool, str]:
-    # ip_series_closed, which built the closed table, raised ArithmeticError
-    # unless equivariant minus correction divides exactly in Z[t] to a
-    # polynomial of degree 6g-6, which vanishes in these degrees and all above
+def _check_polynomiality(g: int, closed: BettiTable | ArithmeticError) -> tuple[bool, str]:
+    # ip_series_closed raises ArithmeticError, before any DualityError, unless
+    # equivariant minus correction divides exactly in Z[t] to a polynomial of
+    # degree 6g-6, which vanishes in these degrees and all above
+    if isinstance(closed, ArithmeticError) and not isinstance(closed, DualityError):
+        return False, str(closed)
     return True, f"degrees {6 * g - 5}..{6 * g + IP_EXTRA_ORDER} all vanish"
 
 
-def _check_duality(g: int, closed: BettiTable) -> tuple[bool, str]:
+def _check_duality(g: int, closed: BettiTable | ArithmeticError) -> tuple[bool, str]:
+    # a negative coefficient is this check's failure; any other failure left no table
+    if isinstance(closed, DualityError):
+        return False, str(closed)
+    if isinstance(closed, ArithmeticError):
+        return False, f"no closed table: {closed}"
     try:
         closed.validate()
-    except ArithmeticError as exc:
+    except DualityError as exc:
         return False, str(exc)
     return True, "palindromic, nonnegative, degree-0 entry 1"
 
@@ -299,7 +322,11 @@ def _check_restriction(g: int, closed: BettiTable) -> tuple[bool, str]:
     restricted = restriction_image_dimensions(g)
     invariant = invariant_truncated_dimensions(g)
     window = max(invariant)
-    correction = correction_series(g, window)
+    try:
+        correction = correction_series(g, window)
+    except ArithmeticError as exc:
+        # the closed route's correction term is not a dimension series
+        return False, str(exc)
     # both dimension dicts are keyed 0..window in ascending order
     bad = _first_mismatch(
         restricted.values(), invariant.values(), map(int, correction)
@@ -343,7 +370,12 @@ CHECKS = (
 
 
 def run_verification(g: int, cap: int) -> VerificationReport:
-    closed = ip_series_closed(g)
+    try:
+        closed = ip_series_closed(g)
+    except ArithmeticError as exc:
+        # the closed route failed its own test: the checks that read its table report
+        # it, so verify exits 1, not 3
+        closed = exc
     records = []
     for name, hard_cap, check in CHECKS:
         # t/tanh t does not depend on g, so its record carries no genus
@@ -383,7 +415,8 @@ def render_json(doc: dict, write) -> None:
     once, and each entry formats that with its separator and four exponents, one
     write per entry.  Any other document is built whole by `dump` and written once,
     so a crash while building it writes nothing.  Only str, int, bool, None, dict
-    (str keys), list and tuple are written; anything else raises TypeError.
+    (str keys), list, tuple and `Poly` (as its `render_poly` string) are written;
+    anything else raises TypeError.
     """
     # the C quoting function alone: the json package would load json.decoder and
     # json.scanner and compile their regexes, a few ms of a short job
@@ -399,6 +432,8 @@ def render_json(doc: dict, write) -> None:
             return "null" if o is None else "true" if o else "false"
         if isinstance(o, int):
             return int.__repr__(o)
+        if isinstance(o, Poly):
+            return quote(render_poly(o))
         inner = nl + "  "
         if isinstance(o, dict):
             parts = [quote(k) + ": " + dump(v, inner) for k, v in sorted(o.items())]
@@ -436,12 +471,13 @@ def render_text(doc: dict, write) -> None:
 
     if cmd == "betti":
         line(f"IH Betti numbers, genus {doc['genus']} ({data['route']} route)")
-        line(f"IP_t = {zpoly_str(data['betti'])}")
-        line(f"total dimension: {data['total_dimension']}")
+        if data["betti"] is not None:
+            line(f"IP_t = {zpoly_str(data['betti'])}")
+            line(f"total dimension: {data['total_dimension']}")
     elif cmd == "ring":
         line(f"reduced Groebner basis of I_{data['k']}:")
         for g in data["basis"]:
-            line(f"  {g}")
+            line(f"  {render_poly(g)}")
         line(
             f"Hilbert series: ({zpoly_str(data['hilbert_numerator'])})"
             f" / ({zpoly_str(data['hilbert_denominator'])})"
@@ -490,14 +526,15 @@ def render_latex(doc: dict, write) -> None:
         write(text + "\n")
 
     if cmd == "betti":
-        line(
-            rf"$IP_t(X(SU(2))) = {zpoly_str(data['betti'], latex=True)}$ "
-            rf"\quad (g = {doc['genus']})"
-        )
+        if data["betti"] is not None:
+            line(
+                rf"$IP_t(X(SU(2))) = {zpoly_str(data['betti'], latex=True)}$ "
+                rf"\quad (g = {doc['genus']})"
+            )
     elif cmd == "ring":
         line(rf"Reduced Gr\"obner basis of $I_{{{data['k']}}}$:")
         line(r"\begin{align*}")
-        rendered = [render_poly(parse_poly(g), latex=True) for g in data["basis"]]
+        rendered = [render_poly(g, latex=True) for g in data["basis"]]
         line(" \\\\\n".join(f"& {r}" for r in rendered))
         line(r"\end{align*}")
         line(
@@ -677,8 +714,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (`| head`); on devnull the exit flush cannot raise
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except Exception:
@@ -694,4 +729,17 @@ def run() -> None:
     # frozen, the start-up heap goes with the process, not object by object at shutdown;
     # not in main(), which tests call in-process: there it would pin each call's heap
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)  # a tracer or profiler (coverage, cProfile) reports at this exit
+    # skip the interpreter's teardown, after what of it can be seen: the atexit
+    # handlers, then the flushes
+    import atexit
+
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.exit(code)  # a missing, full or closed stream: reported as the normal exit does
+    os._exit(code)

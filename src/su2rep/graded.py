@@ -13,7 +13,6 @@ each homogeneous of weighted degree 2n.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -190,43 +189,41 @@ def render_poly(p: Poly, latex: bool = False) -> str:
     )
 
 
-_TERM_FACTOR = None  # compiled by the first parse_poly call: most jobs parse none
-
-
 def parse_poly(text: str) -> Poly:
-    """Inverse of `render_poly`; also accepts unnormalized whitespace."""
-    global _TERM_FACTOR
-    if _TERM_FACTOR is None:
-        _TERM_FACTOR = re.compile(
-            r"^(?:(?P<coeff>\d+(?:/\d+)?)|(?P<name>alpha|beta|gamma)(?:\^(?P<exp>\d+))?)$"
-        )
-    match = _TERM_FACTOR.match
+    """Inverse of `render_poly`; also accepts unnormalized whitespace.
+
+    Split on signs and `*`, with no regex: a factor is a variable name, with an
+    optional `^` and decimal exponent, or a decimal integer with an optional `/`
+    and decimal denominator, so each coefficient is one `Fraction` of two ints.
+    """
     s = text.strip()
     if s == "0":
         return ZERO
-    s = s.replace("-", "+-")
     terms: list[tuple[Monomial, Fraction]] = []
-    for raw in s.split("+"):
+    for raw in s.replace("-", "+-").split("+"):
         raw = raw.strip()
         if not raw:
             continue
         sign = 1
         if raw.startswith("-"):
-            sign = -1
-            raw = raw[1:].strip()
-        coeff = Fraction(1)
+            sign, raw = -1, raw[1:]
+        num = den = 1
         expo = [0, 0, 0]
         for factor in raw.split("*"):
             factor = factor.strip()
-            m = match(factor)
-            if not m:
+            name, caret, exp = factor.partition("^")
+            if name in VARIABLE_NAMES and (exp.isdecimal() or not caret):
+                expo[VARIABLE_NAMES.index(name)] += int(exp) if caret else 1
+                continue
+            top, slash, bottom = factor.partition("/")
+            if not (top.isdecimal() and (bottom.isdecimal() or not slash)):
                 raise ValueError(f"cannot parse term factor {factor!r} in {text!r}")
-            if m.group("coeff"):
-                coeff *= Fraction(m.group("coeff"))
-            else:
-                idx = VARIABLE_NAMES.index(m.group("name"))
-                expo[idx] += int(m.group("exp") or 1)
-        terms.append(((expo[0], expo[1], expo[2]), sign * coeff))
+            num *= int(top)
+            if slash:
+                den *= int(bottom)
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        terms.append(((expo[0], expo[1], expo[2]), Fraction(sign * num, den)))
     return Poly(terms)
 
 

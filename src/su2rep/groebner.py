@@ -19,7 +19,6 @@ exact basis that Buchberger computes.
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -150,6 +149,9 @@ def buchberger(gens: Sequence[Poly], source_k: int | None = None) -> GroebnerBas
     - of the new pairs (i, h), one is queued per minimal lcm, and none for
       an lcm that a coprime pair (i, h) attains.
     """
+    # imported here: a job that reads every basis from the cache never builds one
+    import heapq
+
     basis: list[Reducer] = []
     heap: list[tuple[Key, int, int]] = []
 

@@ -117,15 +117,25 @@ def test_exact_division_matches_windowed_route(g):
 D = (1, 0, -1, 0, -1, 0, 1)  # (1-t^2)(1-t^4)
 
 
-@pytest.mark.parametrize("name, perturb, message", [
+# each way the closed route can fail, by id: (numerator, added polynomial, message)
+CLOSED_ROUTE_FAILURES = {
     # (1-t^2)C grows by 1-t^2, which 2(1-t^2)(1-t^4) does not divide
-    ("_correction_numerator", lambda g: (1,), "inexact"),
+    "inexact": ("_correction_numerator", lambda g: (1,), "inexact"),
     # IP_t grows by t^{6g-4}, or loses its top term t^{6g-6}
-    ("_equivariant_numerator", lambda g: zpoly_shift(D, 6 * g - 4), "has degree"),
-    ("_equivariant_numerator", lambda g: zpoly_shift(zpoly_scale(-1, D), 6 * g - 6), "has degree"),
+    "above-top": ("_equivariant_numerator", lambda g: zpoly_shift(D, 6 * g - 4), "has degree"),
+    "below-top": (
+        "_equivariant_numerator", lambda g: zpoly_shift(zpoly_scale(-1, D), 6 * g - 6), "has degree"
+    ),
     # IP_t loses t, whose coefficient is 0
-    ("_equivariant_numerator", lambda g: zpoly_shift(zpoly_scale(-1, D), 1), "coefficient -1"),
-], ids=["inexact", "above-top", "below-top", "negative"])
+    "negative": (
+        "_equivariant_numerator", lambda g: zpoly_shift(zpoly_scale(-1, D), 1), "coefficient -1"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, perturb, message", CLOSED_ROUTE_FAILURES.values(), ids=CLOSED_ROUTE_FAILURES
+)
 def test_ip_closed_rejects_a_perturbed_numerator(monkeypatch, name, perturb, message):
     original = getattr(assembly, name)
     monkeypatch.setattr(assembly, name, lambda g: zpoly_add(original(g), perturb(g)))

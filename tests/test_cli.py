@@ -1,8 +1,10 @@
 import argparse
+import atexit
 import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,8 +17,10 @@ from hypothesis import strategies as st
 from su2rep import assembly, cli
 from su2rep.assembly import PairingMatrix
 from su2rep.cli import main
-from su2rep.graded import VARIABLE_NAMES
-from su2rep.series import latex_rational, monomial_str
+from su2rep.graded import VARIABLE_NAMES, render_poly
+from su2rep.series import latex_rational, monomial_str, zpoly_add
+
+from test_assembly import CLOSED_ROUTE_FAILURES
 
 RUN = [sys.executable, "-m", "su2rep"]
 
@@ -90,6 +94,52 @@ def test_stdout_closed_by_reader_exits_141_quietly():
     assert stderr == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered, code", [(False, 3), (True, 120)])
+def test_stdout_that_cannot_be_written_keeps_the_interpreters_exit(buffered, code):
+    # unbuffered, the first write fails inside main (exit 3); buffered, main's flush
+    # fails (a crash, 3) and so does the final one, which the interpreter's own exit
+    # reports as 120, as it did before run() left by os._exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            RUN + ["betti", "--genus", "2"], stdout=full, stderr=subprocess.PIPE, env=env,
+            timeout=120,
+        )
+    assert result.returncode == code
+    # main's one traceback; the final flush's failure is reported, not raised
+    assert result.stderr.count(b"Traceback") == 1
+    assert result.stderr.count(b"No space left on device") == 1 + buffered
+
+
+def test_closed_stdout_exits_3():
+    # with fd 1 closed there is no sys.stdout to write to or flush
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *RUN, "betti", "--genus", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 3
+    assert "AttributeError" in result.stderr
+
+
+def test_failed_check_exits_1(tmp_path):
+    # a cached basis cut short still parses: the wrong ideal fails a check, it is no crash
+    env = dict(os.environ, SU2REP_GROEBNER_CACHE=str(tmp_path))
+    subprocess.run(RUN + ["ring", "--k", "2"], capture_output=True, env=env, timeout=120, check=True)
+    path = tmp_path / "relation-ideal-2.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))
+    result = subprocess.run(
+        RUN + ["verify", "--genus", "2"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 1
+    assert "[   fail] equivariant-route-agreement" in result.stdout
+    assert result.stdout.endswith("overall: FAIL\n")
+    assert result.stderr == ""
+
+
 def test_verify_passes_exit_0():
     result = spawn("verify", "--genus", "2")
     assert result.returncode == 0
@@ -106,17 +156,72 @@ def test_identical_invocations_identical_bytes():
 # -- process entry point ------------------------------------------------------------
 
 def test_run_freezes_the_start_up_heap_before_the_command(monkeypatch):
-    # frozen objects are left to the OS at exit instead of collected one by one
-    seen = []
+    # frozen objects are left to the OS at exit instead of collected one by one;
+    # the exit itself is patched, with pytest's own atexit handlers, so the test
+    # process goes on (with no tracer, as under coverage, run() takes os._exit)
+    seen, ended = [], []
     monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 0)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ended.append("atexit"))
+    monkeypatch.setattr(os, "_exit", ended.append)
     before = gc.get_freeze_count()
+    try:
+        cli.run()
+    finally:
+        gc.unfreeze()
+    assert ended == ["atexit", 0]
+    assert len(seen) == 1 and seen[0] > before
+
+
+def test_run_under_a_tracer_exits_through_the_interpreter(monkeypatch):
+    # coverage and profilers report from the normal exit, which os._exit would skip
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(sys, "gettrace", lambda: print)
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit under a tracer"))
     try:
         with pytest.raises(SystemExit) as exited:
             cli.run()
     finally:
         gc.unfreeze()
-    assert exited.value.code == 0
-    assert len(seen) == 1 and seen[0] > before
+    assert exited.value.code == 1
+
+
+# `python -S -c` runs this with a marker path and a command line: run() must call the
+# atexit handler (which writes after the command's output) and keep main's exit status
+ATEXIT_PROBE = """
+import atexit, sys
+import su2rep.cli
+marker = sys.argv.pop(1)
+atexit.register(lambda: (open(marker, "w").close(), print("atexit handler ran")))
+su2rep.cli.run()
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["betti", "--genus", "2"], 0),
+    (["betti", "--genus", "1"], 2),  # argparse's usage error: its SystemExit, not os._exit
+])
+def test_run_calls_the_atexit_handlers_and_keeps_the_exit_status(tmp_path, args, code):
+    marker = tmp_path / "marker"
+    result = spawn_isolated(ATEXIT_PROBE, str(marker), *args)
+    assert result.returncode == code, result.stderr
+    assert marker.exists()
+    assert result.stdout.endswith("atexit handler ran\n")
+    if code == 0:
+        assert result.stdout.startswith("IH Betti numbers, genus 2")
+
+
+def test_profiled_run_still_prints_its_stats():
+    # cProfile reports after the command returns, so run() must exit normally under it
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "su2rep", "betti", "--genus", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("IH Betti numbers, genus 2")
+    assert "function calls" in result.stdout
+    assert "Ordered by:" in result.stdout
 
 
 def test_main_leaves_the_heap_unfrozen(capsys):
@@ -166,6 +271,22 @@ def test_ring_k2_order6(capsys):
     assert code == 0
     assert doc["data"]["expansion"][6] == 2
     assert "alpha^3 + 2*alpha*beta + 4*gamma" in doc["data"]["basis"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_ring_renders_its_basis_without_parsing_it(monkeypatch, capsys, fmt):
+    # the document carries the basis Polys, and no renderer reads its own text back
+    from su2rep import graded, groebner
+
+    monkeypatch.delenv(groebner.CACHE_ENV_VAR, raising=False)
+    doc, _ = cli.cmd_ring(argparse.Namespace(k=2, order=24))
+    assert doc["data"]["basis"] == groebner.relation_ideal_basis(2).generators
+    original = graded.parse_poly
+    for module in (graded, groebner, cli):
+        if getattr(module, "parse_poly", None) is original:
+            monkeypatch.setattr(module, "parse_poly", lambda text: pytest.fail("parsed"))
+    assert main(["ring", "--k", "2", "--format", fmt]) == 0
+    assert render_poly(doc["data"]["basis"][0], latex=fmt == "latex") in capsys.readouterr().out
 
 
 # -- pairing ----------------------------------------------------------------------
@@ -391,6 +512,47 @@ def test_polynomiality_record_follows_the_vanishing_test(monkeypatch):
     assert status["polynomiality"] == "fail"
 
 
+# the check each failure kind of test_assembly's CLOSED_ROUTE_FAILURES fails
+FAILED_CHECK = {
+    "inexact": "polynomiality",
+    "above-top": "polynomiality",
+    "below-top": "polynomiality",
+    "negative": "poincare-duality",
+}
+
+
+@pytest.mark.parametrize("kind", CLOSED_ROUTE_FAILURES)
+@pytest.mark.parametrize("g", [2, 3])
+def test_closed_route_failure_is_a_failed_check(monkeypatch, capsys, kind, g):
+    name, perturb, _ = CLOSED_ROUTE_FAILURES[kind]
+    check = FAILED_CHECK[kind]
+    original = getattr(assembly, name)
+    monkeypatch.setattr(assembly, name, lambda g: zpoly_add(original(g), perturb(g)))
+    with pytest.raises(ArithmeticError) as raised:
+        assembly.ip_series_closed(g)
+    error = str(raised.value)
+
+    doc, _, code = run_json(capsys, "verify", "--genus", str(g))
+    assert code == 1
+    records = {c["name"]: c for c in doc["checks"]}
+    assert (records[check]["status"], records[check]["details"]) == ("fail", error)
+    assert records["intersection-route-agreement"]["details"] == f"no closed table: {error}"
+    if check == "polynomiality":
+        assert records["poincare-duality"]["details"] == f"no closed table: {error}"
+    else:
+        assert records["polynomiality"]["status"] == "pass"
+
+    betti, _, code = run_json(capsys, "betti", "--genus", str(g))
+    assert code == 1
+    assert betti["checks"] == [{"name": check, "genus": g, "status": "fail", "details": error}]
+    assert betti["data"]["betti"] is None and betti["data"]["total_dimension"] is None
+    assert main(["betti", "--genus", str(g)]) == 1
+    assert capsys.readouterr().out == (
+        f"IH Betti numbers, genus {g} (closed-form route)\n[   fail] {check}: {error}\n"
+    )
+    assert main(["betti", "--genus", str(g), "--format", "latex"]) == 1
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["verify", "--genus", "3"], ["correction_series", "equivariant_series_closed"]),
     (["betti", "--genus", "3"], []),
@@ -472,23 +634,27 @@ def test_b_series_check_names_failing_coefficients(monkeypatch):
     assert details == "b_0, b_1, b_2 are 1, 1/3, 1/45, expected 1, 1/3, -1/45"
 
 
-def run_isolated(probe: str) -> str:
-    """stdout of `python -S -c probe` with su2rep importable.
+def spawn_isolated(probe: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """`python -S -c probe args...` with su2rep importable and env added.
 
     Each CLI job is its own process, so import cost is paid on every run;
     -S keeps site's .pth hooks from loading modules on su2rep's behalf.
     """
     from pathlib import Path
-    import os
 
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, "-S", "-c", probe, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_isolated(probe: str, **env: str) -> str:
+    """stdout of `python -S -c probe`, which must exit 0."""
+    result = spawn_isolated(probe, **env)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -501,6 +667,30 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         "print(sorted({'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
     )
     assert run_isolated(probe) == "[]\n"
+
+
+def test_cli_import_loads_no_heapq_and_binds_no_re():
+    # heapq serves only Buchberger, which imports it; `re` comes with fractions
+    # (which compiles its pattern at import), and no su2rep module holds it
+    probe = (
+        "import sys, su2rep.cli\n"
+        "holders = [n for n, m in sys.modules.items() if n.startswith('su2rep') and 're' in vars(m)]\n"
+        "print('heapq' in sys.modules, holders)\n"
+    )
+    assert run_isolated(probe) == "False []\n"
+
+
+def test_warm_ring_loads_no_heapq(tmp_path):
+    # after one cold fill, the bases come from the cache and Buchberger never runs
+    probe = (
+        "import io, sys, su2rep.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = su2rep.cli.main(['ring', '--k', '2'])\n"
+        "print(code, 'heapq' in sys.modules, file=sys.__stdout__)\n"
+    )
+    cache = {"SU2REP_GROEBNER_CACHE": str(tmp_path)}
+    assert run_isolated(probe, **cache) == "0 True\n"  # the cold fill builds the basis
+    assert run_isolated(probe, **cache) == "0 False\n"
 
 
 def test_well_formed_calls_load_no_argparse_gettext_locale_or_json():
@@ -670,8 +860,12 @@ def _listed(doc: dict) -> dict:
     """A command's document as `json.dumps` reads it.
 
     Pairing's view becomes the list of entry dicts the CLI once built, one value
-    dict per degree shared by its entries; any other document is returned as is.
+    dict per degree shared by its entries; ring's basis `Poly`s become the strings
+    of `render_poly`; any other document is returned as is.
     """
+    if doc["command"] == "ring":
+        basis = [render_poly(g) for g in doc["data"]["basis"]]
+        return {**doc, "data": {**doc["data"], "basis": basis}}
     if doc["command"] != "pairing":
         return doc
     view = doc["data"]["entries"]
@@ -825,7 +1019,7 @@ def test_every_other_json_document_is_one_write(args):
     doc = cli.COMMANDS[parsed.command](parsed)[0]
     writes = []
     cli.render_json(doc, writes.append)
-    assert writes == [json.dumps(doc, sort_keys=True, indent=2) + "\n"]
+    assert writes == [json.dumps(_listed(doc), sort_keys=True, indent=2) + "\n"]
 
 
 # Started with -S -I, this launcher stays below a job's own size.  Linux hands the

@@ -224,11 +224,16 @@ def test_stdout_matches_golden(args, monkeypatch):
     assert _stdout_digest(args) == GOLDEN[" ".join(args)]
 
 
-def _spawned_digest(args: tuple[str, ...], *flags: str) -> str:
-    """sha256 of the stdout of `python FLAGS -m su2rep ARGS`, which must exit 0."""
+def _spawned_digest(args: tuple[str, ...], *flags: str, cache: Path | None = None) -> str:
+    """sha256 of the stdout of `python FLAGS -m su2rep ARGS`, which must exit 0.
+
+    The job runs with no Groebner cache, or with the cache directory given.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env.pop(CACHE_ENV_VAR, None)
+    if cache is not None:
+        env[CACHE_ENV_VAR] = str(cache)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
@@ -251,21 +256,33 @@ def test_verify_under_optimize_matches_golden():
 
 # The corpus above runs main() in-process.  These, with the -O case above for
 # verify, hold a spawned `python -m su2rep` (which goes through cli.run and
-# its exit) to the corpus digests, one invocation per subcommand.  The spawns
-# in test_cli.py check exit codes and compare runs with each other, not with
-# digests; they already reach verify cold, so the cases here stay cheap.
+# its exit, by os._exit after the final flush) to the corpus digests, one
+# invocation per subcommand and the largest pairing, about 276 KB that the
+# exit must not cut short.  The spawns in test_cli.py check exit codes and
+# compare runs with each other, not with digests; they already reach verify
+# cold, so the cases here stay cheap.
 SPAWNED = (
     ("betti", "--genus", "3", "--route", "closed", "--format", "text"),
     ("eq-series", "--genus", "2", "--route", "structural", "--format", "json"),
     ("pairing", "--genus", "4", "--format", "latex"),
     ("ring", "--k", "2", "--format", "json"),
     ("e-basis", "--m", "3", "--format", "latex"),
+    ("pairing", "--genus", "16", "--format", "json"),
 )
 
 
 @pytest.mark.parametrize("args", SPAWNED, ids=" ".join)
 def test_spawned_stdout_matches_golden(args):
     assert _spawned_digest(args) == GOLDEN[" ".join(args)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_spawned_warm_ring_matches_golden(tmp_path, fmt):
+    # the first job fills the cache, the second parses its bases back
+    args = ("ring", "--k", "3", "--format", fmt)
+    assert _spawned_digest(args, cache=tmp_path) == GOLDEN[" ".join(args)]
+    assert (tmp_path / "relation-ideal-3.txt").exists()
+    assert _spawned_digest(args, cache=tmp_path) == GOLDEN[" ".join(args)]
 
 
 if __name__ == "__main__":

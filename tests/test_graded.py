@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,9 @@ from su2rep.graded import (
     BETA,
     GAMMA,
     ONE,
+    VARIABLE_NAMES,
+    ZERO,
+    Monomial,
     Poly,
     expand_abxi_monomial,
     monomial_degree,
@@ -19,6 +23,7 @@ from su2rep.graded import (
     parse_poly,
     render_poly,
 )
+from su2rep.groebner import relation_ideal_basis
 
 from reduced_basis import leading_coefficient
 
@@ -107,6 +112,112 @@ def test_poly_ring_axioms(a, b, c):
 @given(polys)
 def test_parse_render_roundtrip(p):
     assert parse_poly(render_poly(p)) == p
+
+
+# -- the regex parser that parse_poly replaced, kept as its reference ------------
+
+_TERM_FACTOR = None  # compiled by the first parse_poly call: most jobs parse none
+
+
+def regex_parse_poly(text: str) -> Poly:
+    """Inverse of `render_poly`; also accepts unnormalized whitespace."""
+    global _TERM_FACTOR
+    if _TERM_FACTOR is None:
+        _TERM_FACTOR = re.compile(
+            r"^(?:(?P<coeff>\d+(?:/\d+)?)|(?P<name>alpha|beta|gamma)(?:\^(?P<exp>\d+))?)$"
+        )
+    match = _TERM_FACTOR.match
+    s = text.strip()
+    if s == "0":
+        return ZERO
+    s = s.replace("-", "+-")
+    terms: list[tuple[Monomial, Fraction]] = []
+    for raw in s.split("+"):
+        raw = raw.strip()
+        if not raw:
+            continue
+        sign = 1
+        if raw.startswith("-"):
+            sign = -1
+            raw = raw[1:].strip()
+        coeff = Fraction(1)
+        expo = [0, 0, 0]
+        for factor in raw.split("*"):
+            factor = factor.strip()
+            m = match(factor)
+            if not m:
+                raise ValueError(f"cannot parse term factor {factor!r} in {text!r}")
+            if m.group("coeff"):
+                coeff *= Fraction(m.group("coeff"))
+            else:
+                idx = VARIABLE_NAMES.index(m.group("name"))
+                expo[idx] += int(m.group("exp") or 1)
+        terms.append(((expo[0], expo[1], expo[2]), sign * coeff))
+    return Poly(terms)
+
+
+def parsed(parse, text: str):
+    """parse(text), or "raises" for the errors a malformed text may raise."""
+    try:
+        return parse(text)
+    except (ValueError, ArithmeticError):
+        return "raises"
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_parsers_agree_on_the_relation_bases(k):
+    for g in relation_ideal_basis(k).generators:
+        text = render_poly(g)
+        assert parse_poly(text) == regex_parse_poly(text) == g
+
+
+@given(polys)
+def test_parsers_agree_on_rendered_polys(p):
+    assert parse_poly(render_poly(p)) == regex_parse_poly(render_poly(p)) == p
+
+
+# every character the grammar gives a meaning, whitespace of several kinds, and
+# digits the `str` regex class \d also takes (Arabic-Indic three and zero)
+PARSER_CHARACTERS = "0123456789/+-*^ \t\nalphbetgm\u00a0\u2028\u0663\u0660\u00b2_."
+rendered = polys.map(render_poly) | st.integers(0, 4).flatmap(
+    lambda k: st.sampled_from(relation_ideal_basis(k).generators).map(render_poly)
+)
+
+
+@st.composite
+def mutated(draw, texts=rendered):
+    """A rendered text with one character deleted, inserted or duplicated."""
+    text = draw(texts)
+    kind = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+    if kind == "insert":
+        i = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(PARSER_CHARACTERS) | st.characters())
+        return text[:i] + char + text[i:]
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1:] if kind == "delete" else text[:i] + text[i] + text[i:]
+
+
+@given(mutated())
+def test_parsers_agree_on_mutated_texts(text):
+    # both return the same Poly or both raise
+    assert parsed(parse_poly, text) == parsed(regex_parse_poly, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "  0 ", "alpha + + beta", "-alpha^0", "\u0663/\u0664*gamma^\u0662", "2*3*alpha*alpha",
+])
+def test_parsers_agree_on_edge_cases(text):
+    assert parsed(parse_poly, text) == parsed(regex_parse_poly, text) != "raises"
+
+
+@pytest.mark.parametrize("text", [
+    "1/0*alpha", "alpha^", "alpha ^2", "2*-alpha", "-", "1/", "/2", "alpha^2^3", "1/2/3",
+    "\u00b2*alpha", "1_0*beta", "delta", "alpha\u0301",
+])
+def test_malformed_factor_raises_value_error(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+    assert parsed(regex_parse_poly, text) == "raises"
 
 
 @given(polys, polys)

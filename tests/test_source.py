@@ -136,20 +136,24 @@ def test_fractions_import_is_caught():
     assert imported_modules(tree) == {"fractions", "os"}
 
 
-def freeze_owners(tree: ast.Module) -> list[str]:
-    """The innermost function around each use of `gc.freeze`, "<module>" outside one.
+def use_owners(tree: ast.Module, module: str, name: str | None = None) -> list[str]:
+    """The innermost function around each use of `module.name`, "<module>" outside one.
 
-    `from gc import freeze` counts as a use where it is imported.
+    `from module import name` counts as a use where it is imported.  With no name,
+    every use of the module counts: importing it, importing from it, or reading an
+    attribute of it.
     """
     owners = []
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "freeze":
-                if isinstance(child.value, ast.Name) and child.value.id == "gc":
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if child.value.id == module and name in (None, child.attr):
                     owners.append(owner)
-            elif isinstance(child, ast.ImportFrom) and child.module == "gc":
-                owners.extend(owner for alias in child.names if alias.name == "freeze")
+            elif isinstance(child, ast.ImportFrom) and child.module == module:
+                owners.extend(owner for alias in child.names if name in (None, alias.name))
+            elif isinstance(child, ast.Import) and name is None:
+                owners.extend(owner for alias in child.names if alias.name == module)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
 
@@ -162,7 +166,7 @@ def test_gc_freeze_is_called_only_in_cli_run(path):
     # run() is the process entry point; main() and the library are also called
     # in-process, where a freeze would pin each call's heap for good
     expected = ["run"] if path.name == "cli.py" else []
-    assert freeze_owners(ast.parse(path.read_text())) == expected
+    assert use_owners(ast.parse(path.read_text()), "gc", "freeze") == expected
 
 
 def test_gc_freeze_use_is_caught():
@@ -171,7 +175,27 @@ def test_gc_freeze_use_is_caught():
         "def main():\n    def inner():\n        gc.freeze()\n    gc.collect()\n"
         "def run():\n    from gc import freeze\n    freeze()\n"
     )
-    assert freeze_owners(tree) == ["<module>", "inner", "run"]
+    assert use_owners(tree, "gc", "freeze") == ["<module>", "inner", "run"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_process_exit_is_only_in_cli_run(path):
+    # run() leaves by os._exit after the atexit handlers; anywhere else it would
+    # end the tests and tracers that call main() and the library in-process
+    tree = ast.parse(path.read_text())
+    owners = use_owners(tree, "os", "_exit") + use_owners(tree, "atexit")
+    assert set(owners) == ({"run"} if path.name == "cli.py" else set())
+
+
+def test_process_exit_use_is_caught():
+    tree = ast.parse(
+        "import os, atexit\nos._exit(0)\n"
+        "def main():\n    os.getpid()\n    def inner():\n        atexit.register(print)\n"
+        "def run():\n    from os import _exit\n    from atexit import _run_exitfuncs\n"
+        "    _run_exitfuncs()\n    _exit(0)\n"
+    )
+    assert use_owners(tree, "os", "_exit") == ["<module>", "run"]
+    assert use_owners(tree, "atexit") == ["<module>", "inner", "run"]
 
 
 def assert_lines(tree: ast.Module) -> list[int]:
