@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .exterior import prim_dimension_formula
-from .graded import Poly, expand_abxi_monomial, render_poly
+from .graded import Poly, expand_abxi_monomial, monomial_degree, monomial_key, render_poly
 from .groebner import (
     RING_DENOMINATOR,
     hilbert_series_quotient,
@@ -203,15 +203,11 @@ class EMonomial(namedtuple("EMonomial", "i j k")):
 
     __slots__ = ()
 
-    @property
-    def degree(self) -> int:
-        return 2 * self.i + 4 * self.j + 6 * self.k
-
 
 def e_basis(m: int) -> list[EMonomial]:
     """All (i,j,k) with i+2k <= m, j+2k <= m, and j < floor(m/2) when k = 0.
 
-    Sorted by (degree, i, j, k).
+    Sorted by `monomial_key`, xi weighing 6 as gamma does: degree, then i, j, k.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -222,16 +218,16 @@ def e_basis(m: int) -> list[EMonomial]:
                 if k == 0 and j >= m // 2:
                     continue
                 out.append(EMonomial(i, j, k))
-    out.sort(key=lambda e: (e.degree, e.i, e.j, e.k))
+    out.sort(key=monomial_key)
     return out
 
 
 def e_hilbert(m: int) -> tuple[int, ...]:
     """Counts of e_basis(m) by degree, up to its top degree; (0,) for m <= 1."""
     basis = e_basis(m)
-    counts = [0] * (max((e.degree for e in basis), default=0) + 1)
+    counts = [0] * (max(map(monomial_degree, basis), default=0) + 1)
     for e in basis:
-        counts[e.degree] += 1
+        counts[monomial_degree(e)] += 1
     return tuple(counts)
 
 
@@ -247,7 +243,7 @@ def ih_series_structural(g: int) -> BettiTable:
     for l in range(g + 1):
         prim = prim_dimension_formula(g, l)
         for e in e_basis(g - l):
-            d = 3 * l + e.degree
+            d = 3 * l + monomial_degree(e)
             if d > top:
                 raise ArithmeticError(
                     f"structural term at degree {d} exceeds 6g-6 = {top}"
@@ -299,7 +295,8 @@ def e_basis_independence(m: int) -> IndependenceVerdict:
     gb = relation_ideal_basis(m)
     by_degree: dict[int, list[Poly]] = {}
     for e in basis:
-        by_degree.setdefault(e.degree, []).append(normal_form(expand_abxi_monomial(*e), gb))
+        form = normal_form(expand_abxi_monomial(*e), gb)
+        by_degree.setdefault(monomial_degree(e), []).append(form)
     total_rank = 0
     for degree in sorted(by_degree):
         forms = by_degree[degree]

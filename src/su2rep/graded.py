@@ -75,16 +75,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def constant(cls, c) -> Poly:
-        return cls({(0, 0, 0): Fraction(c)})
-
-    @classmethod
-    def variable(cls, index: int) -> Poly:
-        m = [0, 0, 0]
-        m[index] = 1
-        return cls({tuple(m): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -113,12 +103,6 @@ class Poly:
                 out.pop(m, None)
         return Poly.from_valid(out)
 
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def __neg__(self) -> Poly:
-        return Poly.from_valid({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other: Poly) -> Poly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -140,7 +124,7 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(1)
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -155,25 +139,19 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: monomial_key(mc[0]), reverse=True)
-
-    def __str__(self) -> str:
-        return render_poly(self)
 
     def __repr__(self) -> str:
         return f"Poly({dict(self.sorted_terms())!r})"
 
 
-ALPHA = Poly.variable(0)
-BETA = Poly.variable(1)
-GAMMA = Poly.variable(2)
+ALPHA = Poly({(1, 0, 0): 1})
+BETA = Poly({(0, 1, 0): 1})
+GAMMA = Poly({(0, 0, 1): 1})
 
 ZERO = Poly()
-ONE = Poly.constant(1)
+ONE = Poly({(0, 0, 0): 1})
 
 
 def render_poly(p: Poly, latex: bool = False) -> str:

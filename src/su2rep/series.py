@@ -18,6 +18,7 @@ object, so they are safe to share between concurrent callers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
@@ -219,21 +220,21 @@ def series_div(a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
 # rational functions in t
 # ---------------------------------------------------------------------------
 
-class RationalFunction:
-    """Quotient of integer polynomials in t, expandable as a series at t = 0."""
+class RationalFunction(namedtuple("RationalFunction", "num den")):
+    """Quotient of integer polynomials in t, expandable as a series at t = 0.
 
-    __slots__ = ("num", "den")
+    A record of the trimmed numerator and denominator, compared as tuples: the
+    same quotient over another denominator is not equal; `reduced_pair` is.
+    """
 
-    def __init__(self, num: Sequence[int], den: Sequence[int] = (1,)):
+    __slots__ = ()
+
+    def __new__(cls, num: Sequence[int], den: Sequence[int] = (1,)) -> RationalFunction:
         num = zpoly_trim([int(c) for c in num])
         den = zpoly_trim([int(c) for c in den])
         if den[0] == 0:
             raise ValueError("denominator must have nonzero constant term")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+        return super().__new__(cls, num, den)
 
     def expand(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients of t^0..t^order in the expansion at t = 0, by a recurrence over Z.
@@ -255,11 +256,6 @@ class RationalFunction:
             u.append(acc)
         return tuple(Fraction(x, d0 ** (d + 1)) for d, x in enumerate(u[k:]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return zpoly_mul(self.num, other.den) == zpoly_mul(other.num, self.den)
-
     def reduced_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerator and denominator with common polynomial and integer factors removed.
 
@@ -273,11 +269,3 @@ class RationalFunction:
         if den[0] < 0:
             c = -c
         return tuple(x // c for x in num), tuple(x // c for x in den)
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({list(self.num)!r}, {list(self.den)!r})"
-
-    def __str__(self) -> str:
-        if self.den == (1,):
-            return zpoly_str(self.num)
-        return f"({zpoly_str(self.num)})/({zpoly_str(self.den)})"

@@ -51,10 +51,10 @@ def test_monomial_divisibility():
 
 def test_poly_basic_arithmetic():
     p = ALPHA + BETA
-    q = ALPHA - BETA
-    assert p * q == ALPHA * ALPHA - BETA * BETA
+    q = ALPHA + (-1) * BETA
+    assert p * q == ALPHA * ALPHA + (-1) * (BETA * BETA)
     assert (p + q) == 2 * ALPHA
-    assert p - p == Poly()
+    assert p + (-1) * p == Poly()
     assert (ALPHA + ONE) ** 2 == ALPHA * ALPHA + 2 * ALPHA + ONE
 
 

@@ -71,8 +71,8 @@ def test_buchberger_smallest_relation_ideal():
 
 
 def test_buchberger_two_generator_closure():
-    b = buchberger([ALPHA ** 2 - BETA, ALPHA * GAMMA])
-    assert b.generators == (ALPHA ** 2 - BETA, ALPHA * GAMMA, BETA * GAMMA)
+    b = buchberger([ALPHA ** 2 + (-1) * BETA, ALPHA * GAMMA])
+    assert b.generators == (ALPHA ** 2 + (-1) * BETA, ALPHA * GAMMA, BETA * GAMMA)
     assert is_reduced(b)
 
 
@@ -97,7 +97,7 @@ def s_polynomial(f, g):
     l = monomial_lcm(lf, lg)
     return (1 / leading_coefficient(f)) * (
         Poly({monomial_quotient(l, lf): 1}) * f
-    ) - (1 / leading_coefficient(g)) * (Poly({monomial_quotient(l, lg): 1}) * g)
+    ) + (-1 / leading_coefficient(g)) * (Poly({monomial_quotient(l, lg): 1}) * g)
 
 
 def reference_normal_form(p, basis):
@@ -153,8 +153,8 @@ def test_normal_form_examples():
     r = normal_form(p, b2)
     for m in r.terms:
         assert not any(monomial_divides(lm, m) for lm in b2.leading_monomials())
-    assert (p - r) == (p - r)  # difference is well defined
-    assert normal_form(p - r, b2).is_zero()
+    assert p + (-1) * r == p + (-1) * r  # difference is well defined
+    assert normal_form(p + (-1) * r, b2).is_zero()
 
 
 def test_normal_form_follows_a_basis_list_that_changes():

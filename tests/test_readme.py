@@ -6,7 +6,12 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_library_block_runs():
+def library_block() -> str:
+    """The one python block of the README's `## Library` section."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
-    exec(compile(block, str(README), "exec"), {})
+    return block
+
+
+def test_readme_library_block_runs():
+    exec(compile(library_block(), str(README), "exec"), {})

@@ -202,7 +202,7 @@ def test_expand_with_polynomial_numerator():
 def test_rational_equality_across_scaling():
     geo = RationalFunction((1,), (1, -1))
     scaled = RationalFunction((2,), (2, -2))
-    assert scaled == geo
+    assert scaled.reduced_pair() == geo.reduced_pair()
     assert scaled.reduced_pair() == ((1,), (1, -1))
 
 
@@ -210,7 +210,7 @@ def test_reduced_cancels_common_factor():
     # (1-t^2)/(1-t) == 1+t
     f = RationalFunction((1, 0, -1), (1, -1))
     assert f.reduced_pair() == ((1, 1), (1,))
-    assert f == RationalFunction((1, 1))
+    assert f.reduced_pair() == RationalFunction((1, 1)).reduced_pair()
 
 
 def test_zero_constant_denominator_rejected():
@@ -275,5 +275,6 @@ def test_expand_negative_constant_term():
 def test_reduced_preserves_value(num, den):
     f = RationalFunction(num, den)
     reduced = RationalFunction(*f.reduced_pair())
-    assert reduced == f
+    # the same quotient, by cross-multiplication rather than reduced_pair itself
+    assert zpoly_mul(reduced.num, f.den) == zpoly_mul(f.num, reduced.den)
     assert reduced.expand(10) == f.expand(10)
