@@ -236,28 +236,32 @@ def _first_mismatch(*columns) -> tuple[int, tuple] | None:
     return None
 
 
+def _compare_routes(closed, structural, agreement: str) -> tuple[bool, str]:
+    """The first degree at which the closed and structural columns differ, or `agreement`."""
+    bad = _first_mismatch(closed, structural)
+    if bad:
+        d, (a, b) = bad
+        return False, f"first mismatch at degree {d}: closed {a}, structural {b}"
+    return True, agreement
+
+
 def _check_intersection_routes(
     g: int, closed: BettiTable | ArithmeticError
 ) -> tuple[bool, str]:
     if isinstance(closed, ArithmeticError):
         return False, f"no closed table: {closed}"
-    bad = _first_mismatch(closed.coefficients, ih_series_structural(g).coefficients)
-    if bad:
-        d, (a, b) = bad
-        return False, f"first mismatch at degree {d}: closed {a}, structural {b}"
-    return True, f"tables agree in all degrees 0..{6 * g - 6}"
+    return _compare_routes(
+        closed.coefficients, ih_series_structural(g).coefficients,
+        f"tables agree in all degrees 0..{6 * g - 6}",
+    )
 
 
 def _check_equivariant_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
     N = 6 * g + IP_EXTRA_ORDER
-    bad = _first_mismatch(
-        equivariant_series_closed(g, N),
-        equivariant_series_structural(g, N),
+    return _compare_routes(
+        equivariant_series_closed(g, N), equivariant_series_structural(g, N),
+        f"series agree to order {N}",
     )
-    if bad:
-        d, (a, b) = bad
-        return False, f"first mismatch at degree {d}: closed {a}, structural {b}"
-    return True, f"series agree to order {N}"
 
 
 def _check_polynomiality(g: int, closed: BettiTable | ArithmeticError) -> tuple[bool, str]:
@@ -565,9 +569,14 @@ def render_latex(doc: dict, write) -> None:
         line(r"\begin{tabular}{llp{8cm}}")
         line(r"check & status & details \\")
         line(r"\hline")
-        for c in doc["checks"]:
-            detail = c["details"].replace("_", r"\_")
+    # verify's table lists every check; any other command shows only a failed one
+    for c in doc["checks"]:
+        detail = c["details"].replace("_", r"\_")
+        if cmd == "verify":
             line(rf"{c['name']} & {c['status']} & {detail} \\")
+        elif c["status"] == "fail":
+            line(rf"\textbf{{fail}} {c['name']}: {detail}")
+    if cmd == "verify":
         line(r"\end{tabular}")
 
 
@@ -579,34 +588,38 @@ RENDERERS = {"text": render_text, "json": render_json, "latex": render_latex}
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()  # the default of a flag that must be given
-Flag = namedtuple("Flag", "name type default choices help", defaults=(None, None))
-GENUS = Flag("--genus", int, REQUIRED)
-FORMAT = Flag(
-    "--format", str, "text", ("text", "json", "latex"), "output format (default text)"
-)
+# least: the smallest value _validate accepts, None for no bound
+Flag = namedtuple("Flag", "name type default choices help least", defaults=(None, None, None))
+Command = namedtuple("Command", "run help flags")
+GENUS = Flag("--genus", int, REQUIRED, least=2)
+FORMAT = Flag("--format", str, "text", tuple(RENDERERS), "output format (default text)")
 ROUTES = ("closed", "structural")
 
-# each subcommand's help and flags in usage order, read by _parse_fast and build_parser
+# each subcommand's function, help and flags in usage order, read by _parse_fast,
+# build_parser, _validate and main
 OPTIONS = {
-    "betti": ("intersection cohomology Betti numbers", (
+    "betti": Command(cmd_betti, "intersection cohomology Betti numbers", (
         GENUS,
         Flag("--route", str, "closed", ROUTES,
              "closed form or primitive-part assembly (default closed)"),
         FORMAT,
     )),
-    "ring": ("Groebner basis and Hilbert series of a relation ideal I_k", (
-        Flag("--k", int, REQUIRED), Flag("--order", int, 24), FORMAT,
+    "ring": Command(cmd_ring, "Groebner basis and Hilbert series of a relation ideal I_k", (
+        Flag("--k", int, REQUIRED, least=0), Flag("--order", int, 24, least=0), FORMAT,
     )),
-    "pairing": ("intersection pairing matrix", (GENUS, FORMAT)),
-    "eq-series": ("equivariant Poincare series", (
+    "pairing": Command(cmd_pairing, "intersection pairing matrix", (GENUS, FORMAT)),
+    # --order's bound, 6g-6, depends on --genus: _validate checks it once --genus passes
+    "eq-series": Command(cmd_eq_series, "equivariant Poincare series", (
         GENUS, Flag("--order", int, None), Flag("--route", str, "closed", ROUTES), FORMAT,
     )),
-    "e-basis": ("E_m spanning set and its degrees", (Flag("--m", int, REQUIRED), FORMAT)),
-    "verify": ("run all cross-checks and report", (
+    "e-basis": Command(cmd_e_basis, "E_m spanning set and its degrees", (
+        Flag("--m", int, REQUIRED, least=0), FORMAT,
+    )),
+    "verify": Command(cmd_verify, "run all cross-checks and report", (
         GENUS,
         Flag("--unsafe-genus-cap", int, DEFAULT_GENUS_CAP, None,
              "raise the genus guard for Groebner-bound checks; checks with "
-             f"hard run-time caps still cap below it (default {DEFAULT_GENUS_CAP})"),
+             f"hard run-time caps still cap below it (default {DEFAULT_GENUS_CAP})", least=2),
         FORMAT,
     )),
 }
@@ -621,7 +634,7 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
     """
     if len(argv) % 2 == 0 or argv[0] not in OPTIONS:
         return None
-    flags = {f.name: f for f in OPTIONS[argv[0]][1]}
+    flags = {f.name: f for f in OPTIONS[argv[0]].flags}
     given = {}
     for name, value in zip(argv[1::2], argv[2::2]):
         flag = flags.get(name)
@@ -653,9 +666,9 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in OPTIONS.items():
-        p = sub.add_parser(command, help=help_text)
-        for f in flags:
+    for name, command in OPTIONS.items():
+        p = sub.add_parser(name, help=command.help)
+        for f in command.flags:
             required = f.default is REQUIRED
             p.add_argument(
                 f.name, type=f.type, default=None if required else f.default,
@@ -664,36 +677,13 @@ def build_parser():
     return parser
 
 
-COMMANDS = {
-    "betti": cmd_betti,
-    "ring": cmd_ring,
-    "pairing": cmd_pairing,
-    "eq-series": cmd_eq_series,
-    "e-basis": cmd_e_basis,
-    "verify": cmd_verify,
-}
-
-
 def _validate(args: SimpleNamespace) -> str | None:
     """The usage error in parsed arguments, or None."""
-    genus = getattr(args, "genus", None)
-    if genus is not None and genus < 2:
-        return "--genus must be at least 2"
-    k = getattr(args, "k", None)
-    if k is not None and k < 0:
-        return "--k must be nonnegative"
-    order = getattr(args, "order", None)
-    if order is not None:
-        if args.command == "eq-series" and order < 6 * genus - 6:
-            return f"--order must be at least 6g-6 = {6 * genus - 6}"
-        if order < 0:
-            return "--order must be nonnegative"
-    m = getattr(args, "m", None)
-    if m is not None and m < 0:
-        return "--m must be nonnegative"
-    cap = getattr(args, "unsafe_genus_cap", DEFAULT_GENUS_CAP)
-    if cap < 2:
-        return "--unsafe-genus-cap must be at least 2"
+    for f in OPTIONS[args.command].flags:
+        if f.least is not None and getattr(args, f.name[2:].replace("-", "_")) < f.least:
+            return f"{f.name} must be " + (f"at least {f.least}" if f.least else "nonnegative")
+    if args.command == "eq-series" and args.order is not None and args.order < 6 * args.genus - 6:
+        return f"--order must be at least 6g-6 = {6 * args.genus - 6}"
     return None
 
 
@@ -708,7 +698,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if error:
             parser.error(error)
     try:
-        doc, exit_code = COMMANDS[args.command](args)
+        doc, exit_code = OPTIONS[args.command].run(args)
         # sys.stdout is looked up here, so redirect_stdout and capsys see the output
         RENDERERS[args.format](doc, sys.stdout.write)
         sys.stdout.flush()

@@ -13,8 +13,8 @@ tuple order is the monomial order, to ints.  Rationals appear only where a
 
 Reduced bases serialize to a plain text form (one generator per line in
 canonical rendering), which backs an optional on-disk cache keyed by k.
-The cache is purely an optimization: parsing a cached file reproduces the
-exact basis that Buchberger computes.
+A cached file is trusted as read: nothing certifies it, so a file edited or
+cut short after Buchberger wrote it changes results if it still parses.
 """
 
 from __future__ import annotations

@@ -176,10 +176,10 @@ def signed_sum(terms: Iterable[tuple], latex: bool = False) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def zpoly_str(a: Sequence[int], var: str = "t", latex: bool = False) -> str:
-    """Canonical human-readable form, ascending powers."""
+def zpoly_str(a: Sequence[int], latex: bool = False) -> str:
+    """Canonical human-readable form in t, ascending powers."""
     return signed_sum(
-        [(c, monomial_str((d,), (var,), latex)) for d, c in enumerate(a)], latex
+        [(c, monomial_str((d,), ("t",), latex)) for d, c in enumerate(a)], latex
     )
 
 

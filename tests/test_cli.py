@@ -56,6 +56,33 @@ def test_usage_errors_exit_2():
         assert result.stdout == "", args
 
 
+# (command line, the message of its usage error); the last two tokens are the flag at fault
+USAGE_ERRORS = [
+    (["betti", "--genus", "1"], "--genus must be at least 2"),
+    (["ring", "--k", "-1"], "--k must be nonnegative"),
+    (["ring", "--k", "2", "--order", "-1"], "--order must be nonnegative"),
+    (["e-basis", "--m", "-1"], "--m must be nonnegative"),
+    (
+        ["verify", "--genus", "2", "--unsafe-genus-cap", "1"],
+        "--unsafe-genus-cap must be at least 2",
+    ),
+    (["eq-series", "--genus", "2", "--order", "4"], "--order must be at least 6g-6 = 6"),
+    (["eq-series", "--genus", "2", "--order", "-1"], "--order must be at least 6g-6 = 6"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+@pytest.mark.parametrize("joined", [False, True], ids=["flag-value", "flag=value"])
+def test_usage_error_messages(capsys, argv, message, joined):
+    if joined:
+        argv = argv[:-2] + ["=".join(argv[-2:])]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exited.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == f"su2rep: error: {message}"
+
+
 @pytest.mark.parametrize("args", [["--genus=2"], ["--gen", "2"]])
 def test_argparse_only_forms_still_run(args):
     # --flag=value and abbreviations take the argparse path, with the same output
@@ -380,6 +407,16 @@ def test_e_basis_past_cap_reports_skipped_check(capsys):
     ]
 
 
+def test_e_basis_latex_shows_a_failed_check(monkeypatch, capsys):
+    verdict = assembly.IndependenceVerdict(2, 4, 3, False, 6)
+    monkeypatch.setattr(cli, "e_basis_independence", lambda m: verdict)
+    assert main(["e-basis", "--m", "2", "--format", "latex"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        r"\textbf{fail} e-basis-independence: rank 3 of 4 normal forms modulo I\_2;"
+        " dependency in degree 6"
+    ]
+
+
 # -- verify -----------------------------------------------------------------------
 
 EXPECTED_CHECKS = [
@@ -551,6 +588,8 @@ def test_closed_route_failure_is_a_failed_check(monkeypatch, capsys, kind, g):
         f"IH Betti numbers, genus {g} (closed-form route)\n[   fail] {check}: {error}\n"
     )
     assert main(["betti", "--genus", str(g), "--format", "latex"]) == 1
+    latex = rf"\textbf{{fail}} {check}: {error}".replace("_", r"\_")
+    assert capsys.readouterr().out == latex + "\n"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -718,9 +757,9 @@ def test_well_formed_calls_load_no_argparse_gettext_locale_or_json():
     assert run_isolated(probe) == f"{[0] * len(calls)} []\n"
 
 
-FLAGS = sorted({f.name for _, flags in cli.OPTIONS.values() for f in flags})
+FLAGS = sorted({f.name for command in cli.OPTIONS.values() for f in command.flags})
 CHOICES = sorted(
-    {c for _, flags in cli.OPTIONS.values() for f in flags for c in f.choices or ()}
+    {c for command in cli.OPTIONS.values() for f in command.flags for c in f.choices or ()}
 )
 INTS = ["2", "3", "7", " 3", "+3", "1_0", "\u0663"]
 any_flag = st.sampled_from(
@@ -741,7 +780,7 @@ def command_lines(command):
     # values, some missing or repeated, shuffled with up to two noise tokens
     own = st.one_of([
         st.tuples(st.just(f.name), st.sampled_from(f.choices or INTS))
-        for f in cli.OPTIONS.get(command, ("", (cli.GENUS,)))[1]
+        for f in (cli.OPTIONS[command].flags if command in cli.OPTIONS else (cli.GENUS,))
     ])
     args = st.tuples(
         st.lists(own, max_size=4, unique_by=lambda a: a[0]) | st.lists(own, max_size=4),
@@ -752,7 +791,7 @@ def command_lines(command):
     )
 
 
-argvs = st.sampled_from(list(cli.COMMANDS) + ["nonsense", "-h"]).flatmap(command_lines)
+argvs = st.sampled_from(list(cli.OPTIONS) + ["nonsense", "-h"]).flatmap(command_lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -989,9 +1028,9 @@ def test_render_text_and_latex_write_one_pairing_entry_at_a_time(fmt):
 def test_render_json_writes_at_most_one_entry_at_a_time(args):
     parsed = cli.build_parser().parse_args(args)
     writes = []
-    cli.render_json(cli.COMMANDS[parsed.command](parsed)[0], writes.append)
+    cli.render_json(cli.OPTIONS[parsed.command].run(parsed)[0], writes.append)
     # a document may be read once: the reference is a second one, listed
-    doc = _listed(cli.COMMANDS[parsed.command](parsed)[0])
+    doc = _listed(cli.OPTIONS[parsed.command].run(parsed)[0])
     # list elements sit at most three levels deep: data's fields, then checks
     lists = [v for v in doc["data"].values() if isinstance(v, list)] + [doc["checks"]]
     longest = max(
@@ -1016,7 +1055,7 @@ def test_render_json_writes_at_most_one_entry_at_a_time(args):
 def test_every_other_json_document_is_one_write(args):
     # only pairing's document is written piece by piece; the rest are at most 7 KB
     parsed = cli.build_parser().parse_args(args)
-    doc = cli.COMMANDS[parsed.command](parsed)[0]
+    doc = cli.OPTIONS[parsed.command].run(parsed)[0]
     writes = []
     cli.render_json(doc, writes.append)
     assert writes == [json.dumps(_listed(doc), sort_keys=True, indent=2) + "\n"]
@@ -1055,7 +1094,8 @@ def test_pairing_peak_rss_stays_at_the_start_up_floor():
 def test_crash_while_rendering_json_exits_3_and_writes_nothing(capsys, monkeypatch):
     # a document other than pairing's is built whole before its one write
     doc = {"command": "betti", "genus": 2, "data": {"betti": [1, 0, {"x": 0.5}]}}
-    monkeypatch.setitem(cli.COMMANDS, "betti", lambda args: (doc, 0))
+    command = cli.OPTIONS["betti"]._replace(run=lambda args: (doc, 0))
+    monkeypatch.setitem(cli.OPTIONS, "betti", command)
     assert main(["betti", "--genus", "2", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1067,7 +1107,8 @@ def test_crash_while_rendering_pairing_json_exits_3(capsys, monkeypatch):
     # pairing's entries are written as they are formatted, so its head comes first
     view = PairingMatrix(2, (object(),))
     doc = {"command": "pairing", "genus": 2, "data": {"entries": view}, "checks": []}
-    monkeypatch.setitem(cli.COMMANDS, "pairing", lambda args: (doc, 0))
+    command = cli.OPTIONS["pairing"]._replace(run=lambda args: (doc, 0))
+    monkeypatch.setitem(cli.OPTIONS, "pairing", command)
     assert main(["pairing", "--genus", "2", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out.startswith('{\n  "checks": [],\n  "command": "pairing"')
