@@ -328,9 +328,9 @@ class TopIdentityEntry(
 
 
 class TopIdentityVerdict(
-    namedtuple("TopIdentityVerdict", "genus entries top_degree_dimension")
+    namedtuple("TopIdentityVerdict", "genus entries top_degree_dimension hilbert_dimension")
 ):
-    """entries is a tuple of TopIdentityEntry."""
+    """entries is a tuple of TopIdentityEntry; the two dimensions are counted apart."""
 
     __slots__ = ()
 
@@ -344,7 +344,8 @@ def top_identity_check(g: int) -> TopIdentityVerdict:
 
     One entry per admissible (m, n): m + 2n = 3g - 3, 0 <= n < g - 1.  The
     verdict also records the dimension of the degree-(6g-6) graded piece of
-    the quotient, which is reported rather than asserted.
+    the quotient twice: by counting standard monomials, and from the Hilbert
+    series of the same leading-term ideal.
     """
     _require_genus(g)
     gb = relation_ideal_basis(g)
@@ -366,11 +367,11 @@ def top_identity_check(g: int) -> TopIdentityVerdict:
                 residual=render_poly(residual),
             )
         )
-    top_dim = standard_monomial_dimensions(leading_term_ideal(gb), 6 * g - 6)[
-        6 * g - 6
-    ]
+    top, ideal = 6 * g - 6, leading_term_ideal(gb)
     return TopIdentityVerdict(
-        genus=g, entries=tuple(entries), top_degree_dimension=top_dim
+        genus=g, entries=tuple(entries),
+        top_degree_dimension=standard_monomial_dimensions(ideal, top)[top],
+        hilbert_dimension=int(hilbert_series_quotient(ideal).expand(top)[top]),
     )
 
 

@@ -1,7 +1,9 @@
 """Command-line front end: computations, cross-checks, machine-readable reports.
 
 Subcommands: betti, ring, pairing, eq-series, e-basis, verify.  Every
-command renders one document in text, json, or latex form; the json form
+command returns its data and its check records, and `main` frames them as one
+document, `{"command", "genus", "data", "checks"}` (genus null for ring and
+e-basis), which it renders in text, json, or latex form; the json form
 is canonical (sorted keys, fixed indentation): its bytes equal those of
 `json.dumps(doc, sort_keys=True, indent=2)` (pairing's `PairingMatrix` view
 listed as entry dicts, ring's basis `Poly`s as their `render_poly` strings):
@@ -10,7 +12,8 @@ and every other document one string from one generic writer and one write, so
 identical invocations produce identical bytes and parsing plus re-rendering
 round-trips.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage,
+Exit codes: 0 success / no check failed, 1 a check record with status fail
+(`main` alone maps the records to this status), 2 usage,
 3 internal error (any exception, such as a corrupt cache file; the traceback
 goes to stderr), 141 stdout closed by its reader (128 + SIGPIPE; nothing goes
 to stderr).
@@ -65,8 +68,7 @@ E_INDEPENDENCE_CAP = 4
 BRUTEFORCE_PRIM_CAP = 5
 RESTRICTION_CAP = 3
 TOP_IDENTITY_CAP = 4
-# 6g + this is eq-series' default order and the order the verify table's
-# equivariant and polynomiality records name
+# 6g + this is eq-series' default order and the order of verify's equivariant record
 IP_EXTRA_ORDER = 24
 
 
@@ -81,18 +83,18 @@ class VerificationReport(namedtuple("VerificationReport", "genus checks")):
 
     __slots__ = ()
 
-    @property
-    def overall(self) -> str:
-        bad = any(c.status == "fail" for c in self.checks)
-        return "fail" if bad else "pass"
-
 
 # ---------------------------------------------------------------------------
-# command implementations: each takes the parsed arguments and returns
-# (document, exit_code)
+# command implementations: each takes the parsed arguments and returns its data and
+# its check records; main frames them as the document and exits 1 if a check fails
 # ---------------------------------------------------------------------------
 
-def cmd_betti(args: SimpleNamespace) -> tuple[dict, int]:
+def _record(name: str, genus: int | None, status: str, details: str) -> list[dict]:
+    """A command's one check record, listed as its document holds it."""
+    return [CheckRecord(name, genus, status, details)._asdict()]
+
+
+def cmd_betti(args: SimpleNamespace) -> tuple[dict, list]:
     g = args.genus
     if args.route == "structural":
         table = ih_series_structural(g)
@@ -104,56 +106,37 @@ def cmd_betti(args: SimpleNamespace) -> tuple[dict, int]:
             name = "poincare-duality" if isinstance(exc, DualityError) else "polynomiality"
             data = {"route": "closed-form", "betti": None, "top_degree": 6 * g - 6,
                     "total_dimension": None}
-            checks = [CheckRecord(name, g, "fail", str(exc))._asdict()]
-            return {"command": "betti", "genus": g, "data": data, "checks": checks}, 1
-    palindromic = table.is_palindromic()
-    doc = {
-        "command": "betti",
-        "genus": g,
-        "data": {
-            "route": table.provenance,
-            "betti": list(table.coefficients),
-            "top_degree": 6 * g - 6,
-            "total_dimension": sum(table.coefficients),
-        },
-        "checks": [
-            CheckRecord(
-                name="poincare-duality",
-                genus=g,
-                status="pass" if palindromic else "fail",
-                details=f"table is palindromic about degree {3 * g - 3}"
-                if palindromic
-                else "table fails palindromy",
-            )._asdict()
-        ],
+            return data, _record(name, g, "fail", str(exc))
+    try:
+        table.validate()
+        status, details = "pass", f"table is palindromic about degree {3 * g - 3}"
+    except DualityError as exc:
+        status, details = "fail", str(exc)
+    data = {
+        "route": table.provenance,
+        "betti": list(table.coefficients),
+        "top_degree": 6 * g - 6,
+        "total_dimension": sum(table.coefficients),
     }
-    return doc, 0 if palindromic else 1
+    return data, _record("poincare-duality", g, status, details)
 
 
-def cmd_ring(args: SimpleNamespace) -> tuple[dict, int]:
+def cmd_ring(args: SimpleNamespace) -> tuple[dict, list]:
     k, order = args.k, args.order
     basis = relation_ideal_basis(k)
     h = hilbert_series_quotient(leading_term_ideal(basis))
     num, den = h.reduced_pair()
-    expansion = h.expand(order)
-    doc = {
-        "command": "ring",
-        "genus": None,
-        "data": {
-            "k": k,
-            # the Polys themselves: each renderer writes them in its own form
-            "basis": basis.generators,
-            "leading_monomials": [
-                monomial_str(m, VARIABLE_NAMES) for m in basis.leading_monomials()
-            ],
-            "hilbert_numerator": list(num),
-            "hilbert_denominator": list(den),
-            "order": order,
-            "expansion": [int(c) for c in expansion],
-        },
-        "checks": [],
+    data = {
+        "k": k,
+        # the Polys themselves: each renderer writes them in its own form
+        "basis": basis.generators,
+        "leading_monomials": [monomial_str(m, VARIABLE_NAMES) for m in basis.leading_monomials()],
+        "hilbert_numerator": list(num),
+        "hilbert_denominator": list(den),
+        "order": order,
+        "expansion": [int(c) for c in h.expand(order)],
     }
-    return doc, 0
+    return data, []
 
 
 # render_json's bytes for one entry of cmd_pairing's document, listed (keys sorted, at
@@ -167,14 +150,12 @@ PAIRING_ENTRY_JSON = (
 )
 
 
-def cmd_pairing(args: SimpleNamespace) -> tuple[dict, int]:
-    g = args.genus
+def cmd_pairing(args: SimpleNamespace) -> tuple[dict, list]:
     # the view itself: the renderers read its per-degree values and make no entry
-    doc = {"command": "pairing", "genus": g, "data": {"entries": pairing_matrix(g)}, "checks": []}
-    return doc, 0
+    return {"entries": pairing_matrix(args.genus)}, []
 
 
-def cmd_eq_series(args: SimpleNamespace) -> tuple[dict, int]:
+def cmd_eq_series(args: SimpleNamespace) -> tuple[dict, list]:
     g = args.genus
     order = args.order if args.order is not None else 6 * g + IP_EXTRA_ORDER
     series = (
@@ -182,45 +163,27 @@ def cmd_eq_series(args: SimpleNamespace) -> tuple[dict, int]:
         if args.route == "closed"
         else equivariant_series_structural(g, order)
     )
-    doc = {
-        "command": "eq-series",
-        "genus": g,
-        "data": {
-            "route": args.route,
-            "order": order,
-            "coefficients": [int(c) for c in series],
-        },
-        "checks": [],
-    }
-    return doc, 0
+    return {"route": args.route, "order": order, "coefficients": [int(c) for c in series]}, []
 
 
-def cmd_e_basis(args: SimpleNamespace) -> tuple[dict, int]:
+def cmd_e_basis(args: SimpleNamespace) -> tuple[dict, list]:
     m = args.m
     basis = e_basis(m)
-    hilbert = e_hilbert(m)
     if m > E_INDEPENDENCE_CAP:
         status, details = "skipped", f"m {m} exceeds cap {E_INDEPENDENCE_CAP}"
     else:
         verdict = e_basis_independence(m)
         status = "pass" if verdict.passed else "fail"
-        details = (
-            f"rank {verdict.rank} of {verdict.basis_size} normal forms modulo I_{m}"
-        )
+        details = f"rank {verdict.rank} of {verdict.basis_size} normal forms modulo I_{m}"
         if not verdict.passed:
             details += f"; dependency in degree {verdict.failing_degree}"
-    doc = {
-        "command": "e-basis",
-        "genus": None,
-        "data": {
-            "m": m,
-            "size": len(basis),
-            "monomials": [[e.i, e.j, e.k] for e in basis],
-            "hilbert": list(hilbert),
-        },
-        "checks": [CheckRecord("e-basis-independence", None, status, details)._asdict()],
+    data = {
+        "m": m,
+        "size": len(basis),
+        "monomials": [[e.i, e.j, e.k] for e in basis],
+        "hilbert": list(e_hilbert(m)),
     }
-    return doc, int(status == "fail")
+    return data, _record("e-basis-independence", None, status, details)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +229,10 @@ def _check_equivariant_routes(g: int, closed: BettiTable) -> tuple[bool, str]:
 
 def _check_polynomiality(g: int, closed: BettiTable | ArithmeticError) -> tuple[bool, str]:
     # ip_series_closed raises ArithmeticError, before any DualityError, unless
-    # equivariant minus correction divides exactly in Z[t] to a polynomial of
-    # degree 6g-6, which vanishes in these degrees and all above
+    # equivariant minus correction divides exactly in Z[t] to a polynomial of degree 6g-6
     if isinstance(closed, ArithmeticError) and not isinstance(closed, DualityError):
         return False, str(closed)
-    return True, f"degrees {6 * g - 5}..{6 * g + IP_EXTRA_ORDER} all vanish"
+    return True, f"divides exactly in Z[t], degree {6 * g - 6}"
 
 
 def _check_duality(g: int, closed: BettiTable | ArithmeticError) -> tuple[bool, str]:
@@ -349,11 +311,11 @@ def _check_top_identity(g: int, closed: BettiTable) -> tuple[bool, str]:
     if not verdict.passed:
         failing = [(e.m, e.n) for e in verdict.entries if not e.passed]
         return False, f"nonzero normal form at (m, n) in {failing}"
+    counted, hilbert = verdict.top_degree_dimension, verdict.hilbert_dimension
+    if counted != hilbert:
+        return False, f"top-degree dimension {counted} by count, {hilbert} by Hilbert series"
     pairs = ", ".join(f"({e.m},{e.n})" for e in verdict.entries)
-    return True, (
-        f"normal forms vanish for {pairs}; top-degree quotient dimension "
-        f"{verdict.top_degree_dimension}"
-    )
+    return True, f"normal forms vanish for {pairs}; top-degree quotient dimension {counted}"
 
 
 # (name, hard cap, check), in report order.  A capped check runs while
@@ -393,18 +355,10 @@ def run_verification(g: int, cap: int) -> VerificationReport:
     return VerificationReport(genus=g, checks=tuple(records))
 
 
-def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
-    report = run_verification(args.genus, args.unsafe_genus_cap)
-    doc = {
-        "command": "verify",
-        "genus": args.genus,
-        "data": {
-            "genus_cap": args.unsafe_genus_cap,
-            "overall": report.overall,
-        },
-        "checks": [c._asdict() for c in report.checks],
-    }
-    return doc, 0 if report.overall == "pass" else 1
+def cmd_verify(args: SimpleNamespace) -> tuple[dict, list]:
+    checks = [c._asdict() for c in run_verification(args.genus, args.unsafe_genus_cap).checks]
+    overall = "fail" if any(c["status"] == "fail" for c in checks) else "pass"
+    return {"genus_cap": args.unsafe_genus_cap, "overall": overall}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +652,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if error:
             parser.error(error)
     try:
-        doc, exit_code = OPTIONS[args.command].run(args)
+        data, checks = OPTIONS[args.command].run(args)
+        # ring and e-basis take no --genus: their documents carry a null genus
+        doc = {"command": args.command, "genus": getattr(args, "genus", None), "data": data,
+               "checks": checks}
         # sys.stdout is looked up here, so redirect_stdout and capsys see the output
         RENDERERS[args.format](doc, sys.stdout.write)
         sys.stdout.flush()
@@ -712,7 +669,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         traceback.print_exc()
         return 3
-    return exit_code
+    # a failed check record is the one mathematical failure
+    return int(any(c["status"] == "fail" for c in checks))
 
 
 def run() -> None:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,15 @@ def run_json(capsys, *args):
     code = main(list(args) + ["--format", "json"])
     out = capsys.readouterr().out
     return json.loads(out), out, code
+
+
+def document(*argv: str) -> dict:
+    """The document `main` frames for a command line, taken at its text renderer."""
+    docs = []
+    with mock.patch.dict(cli.RENDERERS, text=lambda doc, write: docs.append(doc)):
+        main(list(argv))
+    (doc,) = docs
+    return doc
 
 
 # -- exit codes (spawned binary) ------------------------------------------------
@@ -259,6 +269,45 @@ def test_main_leaves_the_heap_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
+# -- the document frame ------------------------------------------------------------
+
+# a short command line for each subcommand
+SHORT = {
+    "betti": ["--genus", "2"],
+    "ring": ["--k", "1"],
+    "pairing": ["--genus", "2"],
+    "eq-series": ["--genus", "2"],
+    "e-basis": ["--m", "1"],
+    "verify": ["--genus", "2"],
+}
+
+
+@pytest.mark.parametrize("statuses, code", [
+    ((), 0),
+    (("pass",), 0),
+    (("pass", "skipped"), 0),
+    (("skipped", "fail"), 1),
+    (("fail", "pass", "fail"), 1),
+])
+def test_main_frames_each_command_and_exits_1_only_on_a_failed_record(
+    monkeypatch, capsys, statuses, code
+):
+    # a command returns its data and records; main writes the envelope and the exit status
+    assert set(SHORT) == set(cli.OPTIONS)
+    records = [
+        {"name": f"check-{i}", "genus": None, "status": status, "details": ""}
+        for i, status in enumerate(statuses)
+    ]
+    for command, row in list(cli.OPTIONS.items()):
+        monkeypatch.setitem(cli.OPTIONS, command, row._replace(
+            run=lambda args, row=row: (row.run(args)[0], records)
+        ))
+        doc, _, exit_code = run_json(capsys, command, *SHORT[command])
+        assert exit_code == code, command
+        assert (doc["command"], doc["checks"]) == (command, records)
+        assert doc["genus"] == (None if command in ("ring", "e-basis") else 2)
+
+
 # -- betti ------------------------------------------------------------------------
 
 def test_betti_g2_routes_agree(capsys):
@@ -281,6 +330,22 @@ def test_betti_text_polynomial(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "IP_t = 1 + t^2 + t^4 + t^6" in out
+
+
+@pytest.mark.parametrize("coefficients, details", [
+    ((1, 0, -1, 0, -1, 0, 1), "negative Betti number"),
+    ((0, 1, 1, 1, 1, 1, 0), "degree-0 coefficient must be 1"),
+])
+def test_betti_duality_record_validates_the_table(monkeypatch, capsys, coefficients, details):
+    # palindromic, but no Poincare polynomial: the record fails as verify's check does
+    table = assembly.BettiTable(2, coefficients, "structural")
+    monkeypatch.setattr(cli, "ih_series_structural", lambda g: table)
+    doc, _, code = run_json(capsys, "betti", "--genus", "2", "--route", "structural")
+    assert code == 1
+    assert doc["checks"] == [
+        {"name": "poincare-duality", "genus": 2, "status": "fail", "details": details}
+    ]
+    assert doc["data"]["betti"] == list(coefficients)
 
 
 # -- ring -------------------------------------------------------------------------
@@ -306,14 +371,14 @@ def test_ring_renders_its_basis_without_parsing_it(monkeypatch, capsys, fmt):
     from su2rep import graded, groebner
 
     monkeypatch.delenv(groebner.CACHE_ENV_VAR, raising=False)
-    doc, _ = cli.cmd_ring(argparse.Namespace(k=2, order=24))
-    assert doc["data"]["basis"] == groebner.relation_ideal_basis(2).generators
+    data, _ = cli.cmd_ring(argparse.Namespace(k=2, order=24))
+    assert data["basis"] == groebner.relation_ideal_basis(2).generators
     original = graded.parse_poly
     for module in (graded, groebner, cli):
         if getattr(module, "parse_poly", None) is original:
             monkeypatch.setattr(module, "parse_poly", lambda text: pytest.fail("parsed"))
     assert main(["ring", "--k", "2", "--format", fmt]) == 0
-    assert render_poly(doc["data"]["basis"][0], latex=fmt == "latex") in capsys.readouterr().out
+    assert render_poly(data["basis"][0], latex=fmt == "latex") in capsys.readouterr().out
 
 
 # -- pairing ----------------------------------------------------------------------
@@ -336,8 +401,8 @@ def test_pairing_g3_grouped(capsys):
 @pytest.mark.parametrize("g", [2, 3, 8, 16])
 def test_pairing_document_shares_one_value_dict_per_degree(g):
     # the document holds the view, whose g - 1 per-degree values every entry shares
-    doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
-    view = doc["data"]["entries"]
+    data, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
+    view = data["entries"]
     assert isinstance(view, PairingMatrix) and len(view.values) == g - 1
     assert len({id(e.value) for e in view}) == g - 1
 
@@ -524,8 +589,36 @@ def test_verify_derives_closed_equivariant_series_once(monkeypatch):
     assert status["polynomiality"] == "pass"
     assert [c.details for c in report.checks[1:3]] == [
         "series agree to order 42",
-        "degrees 13..42 all vanish",
+        "divides exactly in Z[t], degree 12",
     ]
+
+
+@pytest.mark.parametrize("side", ["count", "hilbert"])
+def test_top_identity_fails_when_the_dimension_counts_differ(monkeypatch, capsys, side):
+    # the standard-monomial count is checked against the Hilbert series expansion
+    from su2rep.series import RationalFunction
+
+    top = 6 * 2 - 6
+    if side == "count":
+        original = assembly.standard_monomial_dimensions
+        monkeypatch.setattr(assembly, "standard_monomial_dimensions", lambda ideal, d: [
+            c + (i == top) for i, c in enumerate(original(ideal, d))
+        ])
+    else:
+        original = assembly.hilbert_series_quotient
+        # t^top over a denominator with constant term 1 adds 1 in degree top
+        monkeypatch.setattr(assembly, "hilbert_series_quotient", lambda ideal: RationalFunction(
+            zpoly_add(original(ideal).num, (0,) * top + (1,)), original(ideal).den
+        ))
+    verdict = assembly.top_identity_check(2)
+    counted, hilbert = verdict.top_degree_dimension, verdict.hilbert_dimension
+    assert counted - hilbert == (1 if side == "count" else -1)
+    doc, _, code = run_json(capsys, "verify", "--genus", "2")
+    assert code == 1
+    assert doc["checks"][-1] == {
+        "name": "top-identity", "genus": 2, "status": "fail",
+        "details": f"top-degree dimension {counted} by count, {hilbert} by Hilbert series",
+    }
 
 
 def test_polynomiality_record_follows_the_vanishing_test(monkeypatch):
@@ -951,7 +1044,7 @@ def _reference_pairing_render(doc: dict, fmt: str) -> str:
 def test_pairing_json_matches_json_dumps_of_the_listed_document(capsys, g):
     # the pairing document has its own layout in render_json; json.dumps holds it
     _, raw, code = run_json(capsys, "pairing", "--genus", str(g))
-    doc = _listed(cli.cmd_pairing(argparse.Namespace(genus=g))[0])
+    doc = _listed(document("pairing", "--genus", str(g)))
     assert code == 0
     assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -961,9 +1054,9 @@ def test_pairing_json_matches_json_dumps_of_the_listed_document(capsys, g):
 def test_pairing_render_matches_the_entry_by_entry_reference(capsys, fmt, g):
     # the golden text and LaTeX digests reach only g = 5; this reaches g = 16
     code = main(["pairing", "--genus", str(g), "--format", fmt])
-    doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
+    out = capsys.readouterr().out
     assert code == 0
-    assert capsys.readouterr().out == _reference_pairing_render(doc, fmt)
+    assert out == _reference_pairing_render(document("pairing", "--genus", str(g)), fmt)
 
 
 def test_render_json_writes_a_pairing_document_with_no_entries():
@@ -983,8 +1076,7 @@ def _pairing_render_peak(fmt: str, g: int = 16) -> tuple[int, int]:
         written += len(s)
 
     def build_and_write():
-        doc, _ = cli.cmd_pairing(argparse.Namespace(genus=g))
-        cli.RENDERERS[fmt](doc, count)
+        cli.RENDERERS[fmt](document("pairing", "--genus", str(g)), count)
 
     build_and_write()  # warm-up: imports and first-call allocations
     written = 0
@@ -1000,7 +1092,7 @@ def _pairing_render_peak(fmt: str, g: int = 16) -> tuple[int, int]:
 def test_render_json_streams_the_pairing_document():
     # building and writing hold one entry at a time, never the 872 KB document
     written, peak = _pairing_render_peak("json")
-    reference = _listed(cli.cmd_pairing(argparse.Namespace(genus=16))[0])
+    reference = _listed(document("pairing", "--genus", "16"))
     assert written == len(json.dumps(reference, sort_keys=True, indent=2)) + 1
     assert peak < written // 50
 
@@ -1009,7 +1101,7 @@ def test_render_json_streams_the_pairing_document():
 def test_render_text_and_latex_stream_the_pairing_document(fmt):
     # a line at a time: the per-degree templates and the kappa strings, never the output
     written, peak = _pairing_render_peak(fmt)
-    reference = _reference_pairing_render(cli.cmd_pairing(argparse.Namespace(genus=16))[0], fmt)
+    reference = _reference_pairing_render(document("pairing", "--genus", "16"), fmt)
     assert written == len(reference)
     assert peak < written // 3
 
@@ -1017,8 +1109,8 @@ def test_render_text_and_latex_stream_the_pairing_document(fmt):
 @pytest.mark.parametrize("fmt", ["text", "latex"])
 def test_render_text_and_latex_write_one_pairing_entry_at_a_time(fmt):
     writes = []
-    cli.RENDERERS[fmt](cli.cmd_pairing(argparse.Namespace(genus=6))[0], writes.append)
-    reference = _reference_pairing_render(cli.cmd_pairing(argparse.Namespace(genus=6))[0], fmt)
+    cli.RENDERERS[fmt](document("pairing", "--genus", "6"), writes.append)
+    reference = _reference_pairing_render(document("pairing", "--genus", "6"), fmt)
     assert "".join(writes) == reference
     # each write is one line: an entry, a header or a footer
     assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
@@ -1026,11 +1118,10 @@ def test_render_text_and_latex_write_one_pairing_entry_at_a_time(fmt):
 
 @pytest.mark.parametrize("args", [["pairing", "--genus", "6"]])
 def test_render_json_writes_at_most_one_entry_at_a_time(args):
-    parsed = cli.build_parser().parse_args(args)
     writes = []
-    cli.render_json(cli.OPTIONS[parsed.command].run(parsed)[0], writes.append)
+    cli.render_json(document(*args), writes.append)
     # a document may be read once: the reference is a second one, listed
-    doc = _listed(cli.OPTIONS[parsed.command].run(parsed)[0])
+    doc = _listed(document(*args))
     # list elements sit at most three levels deep: data's fields, then checks
     lists = [v for v in doc["data"].values() if isinstance(v, list)] + [doc["checks"]]
     longest = max(
@@ -1054,8 +1145,7 @@ def test_render_json_writes_at_most_one_entry_at_a_time(args):
 )
 def test_every_other_json_document_is_one_write(args):
     # only pairing's document is written piece by piece; the rest are at most 7 KB
-    parsed = cli.build_parser().parse_args(args)
-    doc = cli.OPTIONS[parsed.command].run(parsed)[0]
+    doc = document(*args)
     writes = []
     cli.render_json(doc, writes.append)
     assert writes == [json.dumps(_listed(doc), sort_keys=True, indent=2) + "\n"]
@@ -1093,8 +1183,8 @@ def test_pairing_peak_rss_stays_at_the_start_up_floor():
 
 def test_crash_while_rendering_json_exits_3_and_writes_nothing(capsys, monkeypatch):
     # a document other than pairing's is built whole before its one write
-    doc = {"command": "betti", "genus": 2, "data": {"betti": [1, 0, {"x": 0.5}]}}
-    command = cli.OPTIONS["betti"]._replace(run=lambda args: (doc, 0))
+    data = {"betti": [1, 0, {"x": 0.5}]}
+    command = cli.OPTIONS["betti"]._replace(run=lambda args: (data, []))
     monkeypatch.setitem(cli.OPTIONS, "betti", command)
     assert main(["betti", "--genus", "2", "--format", "json"]) == 3
     captured = capsys.readouterr()
@@ -1106,8 +1196,7 @@ def test_crash_while_rendering_json_exits_3_and_writes_nothing(capsys, monkeypat
 def test_crash_while_rendering_pairing_json_exits_3(capsys, monkeypatch):
     # pairing's entries are written as they are formatted, so its head comes first
     view = PairingMatrix(2, (object(),))
-    doc = {"command": "pairing", "genus": 2, "data": {"entries": view}, "checks": []}
-    command = cli.OPTIONS["pairing"]._replace(run=lambda args: (doc, 0))
+    command = cli.OPTIONS["pairing"]._replace(run=lambda args: ({"entries": view}, []))
     monkeypatch.setitem(cli.OPTIONS, "pairing", command)
     assert main(["pairing", "--genus", "2", "--format", "json"]) == 3
     captured = capsys.readouterr()

@@ -10,7 +10,10 @@ digests: before Hilbert series were reduced over Z[t]; the genus-12 and -14
 pairing digests: before each JSON pairing entry was written by one format
 string).  The text and json digests of `e-basis --m 5` and `--m 6` were taken
 again when the capped independence check began to report a skipped record
-instead of none.  A refactor that changes a single output byte fails here.
+instead of none.  The 24 verify digests were taken again when polynomiality's
+passing detail began to name the exact division in Z[t] it stands for, in place
+of a window of vanishing degrees.  A refactor that changes a single output byte
+fails here.
 
 To print the digest table for the current code (from the repository root):
 
@@ -80,9 +83,9 @@ GOLDEN: dict[str, str] = {
     "pairing --genus 2 --format text": "a2bc77b73ab558219b1d78f3be1517a1afa9d4f9d12bdc5c1ece09a7a9a74137",
     "pairing --genus 2 --format json": "c733f4ca78a1e6965fd1e91225aa1371c3270691d43b4a08cb32f093752fd96a",
     "pairing --genus 2 --format latex": "bdce738a1aa7b5c544eafe9eb088806e2b00ac26b8c0037636daa8f4441068b8",
-    "verify --genus 2 --format text": "838e1d324c68cdaa395274e8d8f6293aebeb9d0e3d7b16562f7e4da39f5a5527",
-    "verify --genus 2 --format json": "f6867abf92f3eb72df79fc3804282742ddf9dd9139c9d49be293a1d20910500e",
-    "verify --genus 2 --format latex": "056f5365506efd5b1abbb66f6fc64c0606867ee7a0960fe33035876e4344b9bd",
+    "verify --genus 2 --format text": "e2d27d7c42d03e887c17c51d306387adb3ae1ae021a431e6f6f72a35155c40cb",
+    "verify --genus 2 --format json": "61fe37476768cc13f6b3cc7e9a6347165cc7b066e6872901b85dfead4b16d521",
+    "verify --genus 2 --format latex": "d00b03c9453d5ddb79c8438a32dabd17e8539b2cfd6f89b48597da53890df6d1",
     "betti --genus 3 --route closed --format text": "a03e509dfe0015f1b112a771eb3142f021936b20457579447646b7a6c2fcc83a",
     "betti --genus 3 --route closed --format json": "dfde1b7c3d0c5eea99167218b7f023beaaacdc5577e6dda92c6e0adccb5d7a83",
     "betti --genus 3 --route closed --format latex": "23db5dc4f20b3db4a759a30ece2159ba0cc514e6534613f55c1ea3675a661417",
@@ -98,9 +101,9 @@ GOLDEN: dict[str, str] = {
     "pairing --genus 3 --format text": "40ca1feddc4faa6e034109c7ba0aeb41d67c116e9d24aa9a9b5f2001f02552ad",
     "pairing --genus 3 --format json": "25be4954f382173037d1a9313eba455e0ae810268de19c459c755a48a00be6e9",
     "pairing --genus 3 --format latex": "be4cd56e839b67c03f75cc6baf12c67a88ddb68f98f2838c62c8205c4caf8095",
-    "verify --genus 3 --format text": "6757bdd9733b2c9f5d122809ea9651fb97ae98ae8023477d20cef7c3354f7d87",
-    "verify --genus 3 --format json": "70b1e239ff2c2beeb86b8b44b371d5f133e96c8b0d86c956abb5020eaf99be18",
-    "verify --genus 3 --format latex": "21efe344ec9c676717b29d0f3bf53aa7ad55003d784d24a8743c29b7f14bd5ba",
+    "verify --genus 3 --format text": "71f4b719f485c8c8ea540cb049a3df260cb9abfe13f0fafcb17f3e400fd9c05a",
+    "verify --genus 3 --format json": "bebd6c5998df3192b7cdc49475e576a7b5eb4c51571a71bef9c3dabd3580783b",
+    "verify --genus 3 --format latex": "ab4b1e9a624f34d20713892c6802850881b9a559a1cf67db2f40f6fd99d09323",
     "betti --genus 4 --route closed --format text": "83fb0b41246d40dd1fe1d6d6fd457115bc3a5a537bc33423049b0459a1f44b57",
     "betti --genus 4 --route closed --format json": "7b29bf305adaee5d1e4a5807a55868effe2b795295cde52b0d1028a6a2b38182",
     "betti --genus 4 --route closed --format latex": "3a180a17257c46d197944870f9aa71b34d8a00671fdcb1971c12f3305f67006e",
@@ -116,9 +119,9 @@ GOLDEN: dict[str, str] = {
     "pairing --genus 4 --format text": "ab564e54da39d10536f780504b595d29ca5b667e52f234ce0bb6ad81e599d75b",
     "pairing --genus 4 --format json": "21d89b44c54d72f842096ad9463dafbcfe161336786ffcb3b94b134947910cef",
     "pairing --genus 4 --format latex": "accaf06f81a567af5b8e9795e99bbb8ffaeafb0b31ca46a74f1745198e7c302f",
-    "verify --genus 4 --format text": "8fca860e26836efafb2cf4511106615c33fb3604f56e1ca38250cbaa24fbdd60",
-    "verify --genus 4 --format json": "353519d13d976be89d6fe1210e69b49eeec7995c84bc5f98b9fdad61c1c8a1a8",
-    "verify --genus 4 --format latex": "36148c2c0e82cab74924d4407923f788061bd0b8d0f6fe8b267c38b0b13899b1",
+    "verify --genus 4 --format text": "93f98f4edc64666a8d23fe0ddaa7fc0493ed65178437ebf72922d6d939c7af2c",
+    "verify --genus 4 --format json": "75ed8d5fb0b39c3bdb5ec83658be431bd04f59d778e8607d92dcf9d6126c1cba",
+    "verify --genus 4 --format latex": "5594f4c22289a44efb008ae7268d164fabc2f9a3eb05ad0f92770e51d05b5c71",
     "betti --genus 5 --route closed --format text": "1eee9c37d5f625cb6557631078f90f5f6b80fc957488ffa20a4de32700c1bdb6",
     "betti --genus 5 --route closed --format json": "bda65b309082eed363c80ce70bec4ea1e55a25de32ef748573ed3e5e20b91ac1",
     "betti --genus 5 --route closed --format latex": "3858b40f3bcbef94aefaf9f979c980f361ee3b258120f732c8729d037421c438",
@@ -134,9 +137,9 @@ GOLDEN: dict[str, str] = {
     "pairing --genus 5 --format text": "776660eadbbb99183154e42de7b5f691bbd2415fe4e68cc8f922942f8116580c",
     "pairing --genus 5 --format json": "b9f32d5f25d3cf6cb96b1f4929bc67344af450630a01bfc936d46bc5959f12a2",
     "pairing --genus 5 --format latex": "7cf2ef7ebbbf1fc5ccb066e2d162f7805413f31f03fb0bd778f39dff56172e14",
-    "verify --genus 5 --format text": "e42087ab0bb93bfa9676a4af7537d19e80ef0cb2aa494238a634d78c0771e9d3",
-    "verify --genus 5 --format json": "459cbe9a605c796c9aa097927e2e9a00603652259930527c625b5b14aae5461c",
-    "verify --genus 5 --format latex": "627cf4514b09d497213fd7609a4a46d03410278f64cd4b26a94a0227dac036ab",
+    "verify --genus 5 --format text": "d844e5fa9f0c70983cd70d62bd41a3ee44451f2f2a41824a8cf5813d4e2abe72",
+    "verify --genus 5 --format json": "ed4de72d0b651a40be76bbfa42672b96dd104a3fcb3ec07b7152bb4735067518",
+    "verify --genus 5 --format latex": "e81b997a8bbce439e5c455a9f3ed1a3569a4f981fbc418042297454f8afc5e9a",
     "ring --k 0 --format text": "b27ebbf2ff4ab8518376c557d5724c32229a5342c396fe06f3ff700c3f33759c",
     "ring --k 0 --format json": "a918991102759411772bca252416c21a47daca111515ef0bf12ae794fa656a23",
     "ring --k 0 --format latex": "3072ac8e920c9f1585b774b32bf3ed1d46bf7815422880cd3662c486991ec317",
@@ -179,18 +182,18 @@ GOLDEN: dict[str, str] = {
     "e-basis --m 6 --format text": "a6b070baeeba690d3b818f5089328e4ae76ecb34193304bb893e534f7cf24f59",
     "e-basis --m 6 --format json": "9503dee7ab8d366a31749144acc8d10f6de7894fa22fd07c56e83a5338c7ce97",
     "e-basis --m 6 --format latex": "4f573852c1b1aef4220c6e67c983593f785cf3795beb57974b12e6c3b8eb114d",
-    "verify --genus 3 --unsafe-genus-cap 2 --format text": "eba8cfb685b92a412f9cb1a5977b4579e8985029da5a5b127f1a99f235be5987",
-    "verify --genus 3 --unsafe-genus-cap 2 --format json": "bf63272e3d500cc71ab239823564fd76f95eda3ab62e7a8ac34c740b5776a4e7",
-    "verify --genus 3 --unsafe-genus-cap 2 --format latex": "c499eb2c9a01d88b01c92c9e35e2c0a3ec439b41dcc399c071a200ba27754e78",
-    "verify --genus 4 --unsafe-genus-cap 4 --format text": "8fca860e26836efafb2cf4511106615c33fb3604f56e1ca38250cbaa24fbdd60",
-    "verify --genus 4 --unsafe-genus-cap 4 --format json": "353519d13d976be89d6fe1210e69b49eeec7995c84bc5f98b9fdad61c1c8a1a8",
-    "verify --genus 4 --unsafe-genus-cap 4 --format latex": "36148c2c0e82cab74924d4407923f788061bd0b8d0f6fe8b267c38b0b13899b1",
-    "verify --genus 5 --unsafe-genus-cap 5 --format text": "a983093b0412a7fe646ae6292375ab9709248b56f02e1656a52f4097848ad6e4",
-    "verify --genus 5 --unsafe-genus-cap 5 --format json": "cd48b458ebab4a2ec7859b93acdbbf4423e3bdc9e9858b0919f0ff0fc73ffc28",
-    "verify --genus 5 --unsafe-genus-cap 5 --format latex": "624378d783c57834c58bfff91f3c2ca76926baefd45daa23b85653a93b317cb3",
-    "verify --genus 6 --unsafe-genus-cap 6 --format text": "3f17f035494d4f16de9ec2ae2cac978414a142e93fe948f7dd8d47358f47b392",
-    "verify --genus 6 --unsafe-genus-cap 6 --format json": "d078eb20a13a4effebb3feac2468e1952ca479ad2de1a0d0b1a7e4db939608eb",
-    "verify --genus 6 --unsafe-genus-cap 6 --format latex": "c5c0740650f5c8ae1bef17ed040d04b7e53ea353b18591be3002a7aa683aab85",
+    "verify --genus 3 --unsafe-genus-cap 2 --format text": "d89b71fd9d4524bb5c66a7b11cfc8304a674431e8777af0b51e65e5da5d12d84",
+    "verify --genus 3 --unsafe-genus-cap 2 --format json": "f925f01b0d85fcc5c89fdd5105d1f12b3c0731650a78716796e0f2b2734aabbf",
+    "verify --genus 3 --unsafe-genus-cap 2 --format latex": "3cf9bd3ef2dd70cb269b9f1cf559b50bccb35faa46b5bf6a153311f9c38a5d93",
+    "verify --genus 4 --unsafe-genus-cap 4 --format text": "93f98f4edc64666a8d23fe0ddaa7fc0493ed65178437ebf72922d6d939c7af2c",
+    "verify --genus 4 --unsafe-genus-cap 4 --format json": "75ed8d5fb0b39c3bdb5ec83658be431bd04f59d778e8607d92dcf9d6126c1cba",
+    "verify --genus 4 --unsafe-genus-cap 4 --format latex": "5594f4c22289a44efb008ae7268d164fabc2f9a3eb05ad0f92770e51d05b5c71",
+    "verify --genus 5 --unsafe-genus-cap 5 --format text": "6c67f2f695d1cbe4071a600b6c5e1f16a729f1f6294fc5a7004e8b5c720bc71e",
+    "verify --genus 5 --unsafe-genus-cap 5 --format json": "a4b6d8a9840d200cc41042881c8597c7fd53b5fcaf481def28581478dafea88f",
+    "verify --genus 5 --unsafe-genus-cap 5 --format latex": "ea721b805ff4645734d06e89918e966af324a76ca04d2330e0969d0e2079b167",
+    "verify --genus 6 --unsafe-genus-cap 6 --format text": "48cbc2bc3280805af8d73bf0d7e40dcac7690b46accf1221e55f77c692c77706",
+    "verify --genus 6 --unsafe-genus-cap 6 --format json": "b13252f92151116ffdd0c5ae4a8175dc00be5cf82d84242b08a7d5efd6b7cd4a",
+    "verify --genus 6 --unsafe-genus-cap 6 --format latex": "e82cb9a688a03d0d6284b738c93be1f22753b778d415e003a2ba6363ac84f88a",
     "pairing --genus 12 --format text": "e9442568c4f2ec2fefe38db225c7fa55f84239728c65a1479b4b0c20615c0d11",
     "pairing --genus 12 --format json": "1ad43170d60ae03c534e4b7801401cf48934f11500393b0a372d7da8bec5b7a7",
     "pairing --genus 12 --format latex": "dbca05e2bd510773fe8cf6200f0c25383a3ccc805fbb7427363a8d15e7f859ff",

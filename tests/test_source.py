@@ -218,6 +218,54 @@ def test_assert_statement_is_caught():
     assert assert_lines(tree) == [3, 7]
 
 
+# the document's frame, which `cli.main` alone writes around a command's data and records
+ENVELOPE_KEYS = {"command", "genus", "checks"}
+
+
+def envelope_writes(tree: ast.Module) -> list[str]:
+    """`function: key` for each envelope key a `cmd_*` function writes.
+
+    A write is a string key of a dict display, a subscript assignment, or a keyword
+    of a `dict(...)` or `.update(...)` call.  A check record is made by `CheckRecord`,
+    so a literal "genus" key in a command is the envelope's.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
+            continue
+        for sub in ast.walk(node):
+            keys = []
+            if isinstance(sub, ast.Dict):
+                keys = [k.value for k in sub.keys if isinstance(k, ast.Constant)]
+            elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store):
+                keys = [sub.slice.value] if isinstance(sub.slice, ast.Constant) else []
+            elif isinstance(sub, ast.Call) and (
+                isinstance(sub.func, ast.Name) and sub.func.id == "dict"
+                or isinstance(sub.func, ast.Attribute) and sub.func.attr == "update"
+            ):
+                keys = [k.arg for k in sub.keywords]
+            found += [f"{node.name}: {key}" for key in keys if key in ENVELOPE_KEYS]
+    return found
+
+
+def test_commands_write_no_document_envelope():
+    # each command returns (data, checks); main frames the document and decides the exit
+    assert envelope_writes(ast.parse(Path(cli.__file__).read_text())) == []
+
+
+def test_envelope_write_is_caught():
+    tree = ast.parse(
+        "def cmd_a(args):\n    return {'command': 'a', 'data': {}}, []\n"
+        "def cmd_b(args):\n    doc = {}\n    doc['genus'] = 2\n    doc.update(checks=[])\n"
+        "    return dict(genus=None, data=doc), []\n"
+        "def cmd_c(args):\n    return {'route': 'x', 'genus_cap': 4}, []\n"
+        "def main(args):\n    return {'command': 'a', 'genus': 2, 'checks': []}\n"
+    )
+    assert envelope_writes(tree) == [
+        "cmd_a: command", "cmd_b: genus", "cmd_b: checks", "cmd_b: genus",
+    ]
+
+
 def traced_specs() -> tuple:
     """`SPECS`, the functions the traced benchmark run wraps by name.
 
